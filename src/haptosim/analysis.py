@@ -20,15 +20,20 @@ import numpy as np
 from .model import (
     PRIMITIVE,
     WEIGHTED,
-    FunctionSpec,
     ModelParams,
     ScalarField,
     SimState,
     ValidationError,
     taxis_weight,
 )
-from .operators import _axis_slice, gradient_faces, haptotaxis_divergence, laplacian_neumann
-from .stepping import from_weighted_form
+from .operators import (
+    _axis_slice,
+    _neighbour_mean,
+    gradient_faces,
+    haptotaxis_divergence,
+    laplacian_neumann,
+)
+from .stepping import _cell_gradient, as_primitive, from_weighted_form
 
 __all__ = [
     "TimeSeries",
@@ -199,12 +204,6 @@ class BoundsReport:
         raise KeyError(name)
 
 
-def _primitive_u(state: SimState, params: ModelParams) -> ScalarField:
-    if state.formulation == PRIMITIVE:
-        return state.cells
-    return from_weighted_form(state, params).cells
-
-
 def bounds_report(history: list[SimState], params: ModelParams,
                   initial: SimState) -> BoundsReport:
     """Check every known a-priori bound along a sampled trajectory.
@@ -223,7 +222,7 @@ def bounds_report(history: list[SimState], params: ModelParams,
         raise ValidationError("history times must strictly increase")
 
     grid = initial.grid
-    u0 = _primitive_u(initial, params)
+    u0 = as_primitive(initial, params).cells
     mass_u0 = norm(u0, 1)
     sup_v0 = norm(initial.ecm, math.inf)
     mass_m0 = norm(initial.protease, 1)
@@ -240,7 +239,7 @@ def bounds_report(history: list[SimState], params: ModelParams,
     t_last = times[-1]
     late_min_m = math.inf
     for s in history:
-        u = _primitive_u(s, params)
+        u = as_primitive(s, params).cells
         w = u.with_values(u.values * taxis_weight(s.ecm, params.taxis).values)
         max_mass_u = max(max_mass_u, norm(u, 1))
         max_sup_v = max(max_sup_v, norm(s.ecm, math.inf))
@@ -345,40 +344,34 @@ def steady_classify(state: SimState, params: ModelParams,
 # exact-decay identity and formulation equivalence
 
 
-def _faces_from_cells(values: np.ndarray, dims: int, axis: int) -> np.ndarray:
-    lo = values[_axis_slice(dims, axis, slice(None, -1))]
-    hi = values[_axis_slice(dims, axis, slice(1, None))]
-    return 0.5 * (lo + hi)
-
-
-def gradv_identity_gap(state: SimState, initial: SimState,
-                       chi: FunctionSpec | None = None) -> float:
+def gradv_identity_gap(state: SimState, initial: SimState) -> float:
     """Max gap between ``grad v`` and its exact-decay reconstruction.
 
     The matrix gradient admits the closed form
     ``exp(-int m) * (grad v0 - v0 * int grad m)``; this rebuilds it
-    from the state's accumulated time integrals and compares against
-    the face gradient of the current matrix field.  Cell quantities
-    move to faces by arithmetic averaging.  Wall faces are excluded:
-    the face gradient vanishes there by the no-flux closure and a
-    two-sided average does not exist.  ``chi`` is accepted for
-    signature parity with callers holding the taxis function; the
-    identity itself never involves it.
+    from the state's accumulated ``int m`` and compares against the
+    face gradient of the current matrix field.  ``int grad m`` is taken
+    as the cell-centered gradient of ``int m``: both that gradient and
+    the trapezoid accumulation are linear, so the two orders of
+    applying them agree up to roundoff.  Cell quantities move to faces
+    by arithmetic averaging.  Wall faces are excluded: the face
+    gradient vanishes there by the no-flux closure and a two-sided
+    average does not exist.
     """
     if state.grid != initial.grid:
         raise ValidationError("state and initial data must share a grid")
     dims = state.grid.dims
     damp = np.exp(-state.int_protease.values)
+    int_grad = _cell_gradient(state.int_protease)
     grad_v = gradient_faces(state.ecm)
     grad_v0 = gradient_faces(initial.ecm)
     v0 = initial.ecm.values
     gap = 0.0
     for d in range(dims):
         interior = _axis_slice(dims, d, slice(1, -1))
-        recon = (_faces_from_cells(damp, dims, d)
+        recon = (_neighbour_mean(damp, d)
                  * (grad_v0.components[d][interior]
-                    - _faces_from_cells(v0 * state.int_protease_grad[d].values,
-                                        dims, d)))
+                    - _neighbour_mean(v0 * int_grad[d], d)))
         diff = grad_v.components[d][interior] - recon
         if diff.size:
             gap = max(gap, float(np.max(np.abs(diff))))

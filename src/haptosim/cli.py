@@ -16,13 +16,13 @@ from pathlib import Path
 
 from .config import (
     ConfigError,
+    claim_line,
     emit_outputs,
     output_dir,
     parse_config,
     scenario_to_config,
 )
 from .harness import (
-    TheoremReport,
     convergence_study,
     preset_names,
     preset_scenario,
@@ -55,17 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("presets", help="list built-in scenarios and their configs")
     return parser
-
-
-def _claim_lines(report: TheoremReport) -> list[str]:
-    lines = []
-    for c in report.claims:
-        line = (f"{c.claim_id:32s} {c.verdict:14s} "
-                f"measured={c.measured:.6g} threshold={c.threshold:.6g}")
-        if c.fitted is not None:
-            line += f" rate={c.fitted.rate:.6g} r_squared={c.fitted.r_squared:.6g}"
-        lines.append(line)
-    return lines
 
 
 def _resolve_out(args, text: str) -> str:
@@ -111,8 +100,8 @@ def main(argv=None) -> int:
 
         report = verify(result)
         emit_outputs(result, report, out)
-        for line in _claim_lines(report):
-            print(line)
+        for c in report.claims:
+            print(claim_line(c, ".6g"))
         failures = sum(c.verdict == "fail" for c in report.claims)
         print(f"{scenario.name}: {len(report.claims)} claims, "
               f"{failures} failed -> {out}")

@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (
+    Claim,
     InitialSpec,
     RunResult,
     Scenario,
@@ -27,7 +28,7 @@ from .harness import (
     validate_scenario,
 )
 from .model import FunctionSpec, ModelParams, PRIMITIVE, SimState, build_grid
-from .stepping import StepperConfig, from_weighted_form
+from .stepping import StepperConfig, as_primitive
 
 SECTIONS = {
     "model": {"name", "regime", "mu", "gamma", "diffusion", "taxis",
@@ -292,6 +293,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def claim_line(c: Claim, spec: str = ".17g") -> str:
+    """One claim as a report line, numbers formatted with ``spec``."""
+    line = (f"{c.claim_id:32s} {c.verdict:14s} "
+            f"measured={c.measured:{spec}} threshold={c.threshold:{spec}}")
+    if c.fitted is not None:
+        line += f" rate={c.fitted.rate:{spec}} r_squared={c.fitted.r_squared:{spec}}"
+    return line
+
+
 def emit_outputs(result: RunResult, report: TheoremReport | None,
                  out_dir: str | Path) -> list[Path]:
     """Write series.csv, per-record snapshots, report.txt, config_echo.
@@ -325,12 +335,7 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
         report_path = out / "report.txt"
         with open(report_path, "w") as fh:
             for c in report.claims:
-                line = (f"{c.claim_id:32s} {c.verdict:14s} "
-                        f"measured={_fmt(c.measured)} threshold={_fmt(c.threshold)}")
-                if c.fitted is not None:
-                    line += (f" rate={_fmt(c.fitted.rate)}"
-                             f" r_squared={_fmt(c.fitted.r_squared)}")
-                fh.write(line + "\n")
+                fh.write(claim_line(c) + "\n")
         written.append(report_path)
 
     echo_path = out / "config_echo.ini"
@@ -343,7 +348,7 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
 
 
 def _write_snapshot(snap_dir: Path, state: SimState, params) -> Path:
-    prim = state if state.formulation == PRIMITIVE else from_weighted_form(state, params)
+    prim = as_primitive(state, params)
     grid = prim.grid
     path = snap_dir / f"state_{state.t:.6f}.csv"
     index_names = ["i", "j", "k"][:grid.dims]

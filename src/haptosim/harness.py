@@ -43,14 +43,16 @@ from .model import (
 from .stepping import (
     StepperConfig,
     _cell_gradient,
-    from_weighted_form,
+    as_primitive,
     imex_step,
     stable_dt,
     to_weighted_form,
 )
 
-REGIMES = ("theorem_bound3", "theorem_bound5", "mu_zero_conservation",
-           "byrne_baseline", "custom")
+# each stock scenario is named after the regime it satisfies
+PRESETS = ("theorem_bound3", "theorem_bound5", "mu_zero_conservation",
+           "byrne_baseline")
+REGIMES = PRESETS + ("custom",)
 
 # every series recorded by run(), in csv column order
 SERIES_NAMES = ("cell_dev_l2", "cell_dev_sup", "matrix_sup",
@@ -282,8 +284,7 @@ def preset_scenario(name: str) -> Scenario:
 
 
 def preset_names() -> tuple[str, ...]:
-    return ("theorem_bound3", "theorem_bound5", "mu_zero_conservation",
-            "byrne_baseline")
+    return PRESETS
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +320,7 @@ def _grad_l2(f: ScalarField) -> float:
 
 def _series_samples(state: SimState, params: ModelParams, u_bar: float,
                     m_star: float) -> dict[str, float]:
-    prim = state if state.formulation == PRIMITIVE else from_weighted_form(state, params)
+    prim = as_primitive(state, params)
     u, v, m = prim.cells, prim.ecm, prim.protease
     dev = u.with_values(u.values - u_bar)
     sqrt_v = v.with_values(np.sqrt(np.maximum(v.values, 0.0)))
@@ -512,9 +513,7 @@ def _bound3_claims(result: RunResult) -> list[Claim]:
                         "protease stays bounded away from zero late in the run",
                         "pass" if sigma > 0 else "fail", 0.0, sigma))
 
-    final = result.final_state
-    if final.formulation != PRIMITIVE:
-        final = from_weighted_form(final, params)
+    final = as_primitive(result.final_state, params)
     residual = steady_residual(final, params)
     claims.append(Claim("final_steady_residual",
                         "final state satisfies the stationary equations",
@@ -570,9 +569,7 @@ def _mu_zero_claims(result: RunResult) -> list[Claim]:
                         "pass" if drift <= 1e-9 else "fail", 1e-9, drift))
 
     params = result.scenario.params
-    first = result.initial_state
-    if first.formulation != PRIMITIVE:
-        first = from_weighted_form(first, params)
+    first = as_primitive(result.initial_state, params)
     gap = abs(result.u_bar - float(np.mean(first.cells.values)))
     claims.append(Claim("cell_mean_matches_initial",
                         "deviation target equals the initial mean exactly",
@@ -643,10 +640,7 @@ def convergence_study(scenario: Scenario, levels: int = 3) -> ConvergenceStudy:
         cfg = StepperConfig(base_cfg.t_end, base_cfg.dt_max / 4 ** lev,
                             base_cfg.t_end, base_cfg.cfl)
         result = run(replace(scenario, grid=grid, stepper=cfg, source_text=None))
-        final = result.final_state
-        if final.formulation != PRIMITIVE:
-            final = from_weighted_form(final, scenario.params)
-        finals.append(final.cells.values)
+        finals.append(as_primitive(result.final_state, scenario.params).cells.values)
         grids.append(grid)
 
     rows = []

@@ -7,7 +7,7 @@ degrading.  This module holds the value types shared by the rest of the
 package: the uniform cell-centered grid, scalar fields on it, validated
 one-dimensional coefficient functions (taxis sensitivity ``chi(v)`` and
 protease production ``g(v)``), the model parameters, and the simulation
-state with its running time integrals.
+state with its running time integral of the protease.
 """
 
 from __future__ import annotations
@@ -396,10 +396,10 @@ class SimState:
 
     ``cells`` holds the cell density ``u`` in the primitive formulation,
     or the weighted density ``u * exp(-int_0^v chi)`` in the weighted
-    one.  ``int_protease`` accumulates ``int_0^t m`` per cell and
-    ``int_protease_grad`` accumulates the cell-centered gradient of
-    ``m`` over time, one field per axis; both exist to check the exact
-    matrix-decay identities during analysis.
+    one.  ``int_protease`` accumulates ``int_0^t m`` per cell; it exists
+    to check the exact matrix-decay identities during analysis, and the
+    time integral of the protease gradient is derived from it there.
+    Nothing else that can be computed from these fields is stored.
     """
 
     t: float
@@ -408,7 +408,6 @@ class SimState:
     protease: ScalarField
     formulation: str = PRIMITIVE
     int_protease: ScalarField | None = None
-    int_protease_grad: tuple[ScalarField, ...] | None = None
 
     def __post_init__(self):
         if self.formulation not in (PRIMITIVE, WEIGHTED):
@@ -416,15 +415,8 @@ class SimState:
         grid = self.cells.grid
         if self.int_protease is None:
             object.__setattr__(self, "int_protease", ScalarField.zeros(grid))
-        if self.int_protease_grad is None:
-            object.__setattr__(
-                self, "int_protease_grad",
-                tuple(ScalarField.zeros(grid) for _ in range(grid.dims)))
-        fields = [self.ecm, self.protease, self.int_protease, *self.int_protease_grad]
-        if any(f.grid != grid for f in fields):
+        if any(f.grid != grid for f in (self.ecm, self.protease, self.int_protease)):
             raise ValidationError("all state fields must share one grid")
-        if len(self.int_protease_grad) != grid.dims:
-            raise ValidationError("need one accumulated gradient field per axis")
 
     @property
     def grid(self) -> Grid:
@@ -432,5 +424,5 @@ class SimState:
 
 
 def initial_state(u0: ScalarField, v0: ScalarField, m0: ScalarField) -> SimState:
-    """Primitive-form state at t=0 with zeroed time integrals."""
+    """Primitive-form state at t=0 with a zeroed time integral."""
     return SimState(0.0, u0, v0, m0, PRIMITIVE)

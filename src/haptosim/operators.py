@@ -24,6 +24,7 @@ __all__ = [
     "VectorField",
     "gradient_faces",
     "laplacian_neumann",
+    "drift_velocity",
     "haptotaxis_divergence",
     "helmholtz_solve",
     "IterationLimitError",
@@ -38,6 +39,24 @@ def _axis_slice(dims: int, axis: int, sl: slice | int) -> tuple:
     out = [slice(None)] * dims
     out[axis] = sl
     return tuple(out)
+
+
+def _neighbour_mean(values: np.ndarray, axis: int) -> np.ndarray:
+    """``(lo + hi) / 2`` of each adjacent pair along ``axis``; one entry shorter there."""
+    dims = values.ndim
+    lo = values[_axis_slice(dims, axis, slice(None, -1))]
+    hi = values[_axis_slice(dims, axis, slice(1, None))]
+    return 0.5 * (lo + hi)
+
+
+def drift_velocity(v: ScalarField, chi: FunctionSpec, axis: int) -> np.ndarray:
+    """Drift ``chi(v) * dv/dx`` on the interior faces normal to ``axis``.
+
+    ``chi`` takes the arithmetic face average of ``v``; wall faces,
+    where the velocity vanishes, are left out.
+    """
+    dv = np.diff(v.values, axis=axis) / v.grid.spacing[axis]
+    return chi(_neighbour_mean(v.values, axis)) * dv
 
 
 @dataclass(frozen=True)
@@ -115,14 +134,13 @@ def haptotaxis_divergence(u: ScalarField, v: ScalarField, chi: FunctionSpec,
     dims = grid.dims
     fluxes = []
     for d in range(dims):
-        lo = _axis_slice(dims, d, slice(None, -1))
-        hi = _axis_slice(dims, d, slice(1, None))
-        dv = np.diff(v.values, axis=d) / grid.spacing[d]
-        vel = chi(0.5 * (v.values[lo] + v.values[hi])) * dv
+        vel = drift_velocity(v, chi, d)
         if scheme == "upwind":
+            lo = _axis_slice(dims, d, slice(None, -1))
+            hi = _axis_slice(dims, d, slice(1, None))
             uface = np.where(vel > 0, u.values[lo], u.values[hi])
         else:
-            uface = 0.5 * (u.values[lo] + u.values[hi])
+            uface = _neighbour_mean(u.values, d)
         shape = list(grid.shape)
         shape[d] += 1
         flux = np.zeros(shape)

@@ -17,9 +17,11 @@ donor-cell drift flux.  The weighted one integrates
 divergence for a first-order transport term plus reaction terms; it
 exists to cross-check the primitive discretization.
 
-Each step also accumulates ``int_0^t m`` and ``int_0^t grad m`` per
-cell by the trapezoid rule, which later feeds the exact-decay identity
-checks on the matrix gradient.
+Each step also accumulates ``int_0^t m`` per cell by the trapezoid
+rule, which feeds the exact-decay identity checks on the matrix.  The
+time integral of ``grad m`` is not stored: both the trapezoid update
+and the cell-centred gradient are linear, so it equals the gradient of
+``int_0^t m`` and is derived from it on demand.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from .model import (
     taxis_weight,
 )
 from .operators import (
-    _axis_slice,
+    _neighbour_mean,
+    drift_velocity,
     gradient_faces,
     haptotaxis_divergence,
     helmholtz_solve,
@@ -53,6 +56,7 @@ __all__ = [
     "imex_step",
     "to_weighted_form",
     "from_weighted_form",
+    "as_primitive",
 ]
 
 DENOM_FLOOR = 1e-14
@@ -97,12 +101,6 @@ def step_v_exact(v: ScalarField, m: ScalarField, dt: float) -> ScalarField:
     return v.with_values(v.values * np.exp(-m.values * dt))
 
 
-def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:
-    if state.formulation == PRIMITIVE:
-        return state.cells.values
-    return state.cells.values / taxis_weight(state.ecm, params.taxis).values
-
-
 def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float:
     """Largest safe explicit step, capped by ``cfg.dt_max``.
 
@@ -114,17 +112,13 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
     states fall back to ``dt_max``.
     """
     grid = state.grid
-    u = _primitive_cells(state, params)
+    u = as_primitive(state, params).cells.values
     v = state.ecm.values
     m = state.protease.values
 
     candidates = []
-    chi = params.taxis
     for d in range(grid.dims):
-        lo = _axis_slice(grid.dims, d, slice(None, -1))
-        hi = _axis_slice(grid.dims, d, slice(1, None))
-        dv = np.diff(v, axis=d) / grid.spacing[d]
-        vel = chi(0.5 * (v[lo] + v[hi])) * dv
+        vel = drift_velocity(state.ecm, params.taxis, d)
         speed = float(np.max(np.abs(vel))) if vel.size else 0.0
         candidates.append(cfg.cfl * grid.spacing[d] / max(speed, DENOM_FLOOR))
 
@@ -141,13 +135,8 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
 
 def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
     """Face gradients averaged back to centers, one array per axis."""
-    dims = f.grid.dims
-    out = []
-    for d, comp in enumerate(gradient_faces(f).components):
-        lo = comp[_axis_slice(dims, d, slice(None, -1))]
-        hi = comp[_axis_slice(dims, d, slice(1, None))]
-        out.append(0.5 * (lo + hi))
-    return out
+    return [_neighbour_mean(comp, d)
+            for d, comp in enumerate(gradient_faces(f).components)]
 
 
 def _ensure_finite(t: float, **fields: np.ndarray) -> None:
@@ -170,51 +159,41 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
             f"flux_scheme must be 'upwind' or 'centered', got {flux_scheme!r}")
     _ensure_finite(state.t, cells=state.cells.values, ecm=state.ecm.values,
                    protease=state.protease.values)
-    v, m = state.ecm, state.protease
+    cells, v, m = state.cells, state.ecm, state.protease
     chi, g = params.taxis, params.production
     mu = params.growth_rate
+    primitive = state.formulation == PRIMITIVE
+    # the primitive cell density, whichever form ``cells`` holds
+    u = cells.values if primitive else cells.values / taxis_weight(v, chi).values
 
     m_new = helmholtz_solve(
         params.protease_diffusion, 1.0 / dt + params.protease_decay,
-        m.with_values(m.values / dt + _primitive_cells(state, params) * g(v.values)))
+        m.with_values(m.values / dt + u * g(v.values)))
     v_new = step_v_exact(v, m, dt)
 
-    if state.formulation == PRIMITIVE:
-        u = state.cells
-        drift = haptotaxis_divergence(u, v, chi, scheme=flux_scheme)
-        explicit = -drift.values + mu * u.values * (1.0 - u.values - v.values)
-        cells_new = helmholtz_solve(1.0, 1.0 / dt,
-                                    u.with_values(u.values / dt + explicit))
+    if primitive:
+        drift = haptotaxis_divergence(cells, v, chi, scheme=flux_scheme)
+        explicit = -drift.values + mu * u * (1.0 - u - v.values)
     else:
-        w = state.cells
-        z = taxis_weight(v, chi).values
+        w = cells.values
         grad_v = gradient_faces(v)
-        grad_w = gradient_faces(w)
+        grad_w = gradient_faces(cells)
         dot = np.zeros(state.grid.shape)
         for d in range(state.grid.dims):
-            prod = grad_v.components[d] * grad_w.components[d]
-            lo = prod[_axis_slice(state.grid.dims, d, slice(None, -1))]
-            hi = prod[_axis_slice(state.grid.dims, d, slice(1, None))]
-            dot += 0.5 * (lo + hi)
+            dot += _neighbour_mean(grad_v.components[d] * grad_w.components[d], d)
         chi_v = chi(v.values)
         explicit = (chi_v * dot
-                    + mu * w.values * (1.0 - w.values / z - v.values)
-                    + chi_v * w.values * v.values * m.values)
-        cells_new = helmholtz_solve(1.0, 1.0 / dt,
-                                    w.with_values(w.values / dt + explicit))
+                    + mu * w * (1.0 - u - v.values)
+                    + chi_v * w * v.values * m.values)
+    cells_new = helmholtz_solve(1.0, 1.0 / dt,
+                                cells.with_values(cells.values / dt + explicit))
 
     _ensure_finite(state.t, cells=cells_new.values, ecm=v_new.values,
                    protease=m_new.values)
 
     int_m = state.int_protease.values + 0.5 * dt * (m.values + m_new.values)
-    grads_old = _cell_gradient(m)
-    grads_new = _cell_gradient(m_new)
-    int_grad = tuple(
-        acc.with_values(acc.values + 0.5 * dt * (go + gn))
-        for acc, go, gn in zip(state.int_protease_grad, grads_old, grads_new))
-
     return SimState(state.t + dt, cells_new, v_new, m_new, state.formulation,
-                    state.int_protease.with_values(int_m), int_grad)
+                    state.int_protease.with_values(int_m))
 
 
 def to_weighted_form(state: SimState, params: ModelParams) -> SimState:
@@ -233,3 +212,10 @@ def from_weighted_form(state: SimState, params: ModelParams) -> SimState:
     z = taxis_weight(state.ecm, params.taxis)
     return replace(state, cells=state.cells.with_values(state.cells.values / z.values),
                    formulation=PRIMITIVE)
+
+
+def as_primitive(state: SimState, params: ModelParams) -> SimState:
+    """The state in primitive form: unchanged if it already is, else converted."""
+    if state.formulation == PRIMITIVE:
+        return state
+    return from_weighted_form(state, params)

@@ -29,7 +29,7 @@ from haptosim.analysis import (
     steady_classify,
     steady_residual,
 )
-from haptosim.stepping import _cell_gradient, to_weighted_form
+from haptosim.stepping import to_weighted_form
 
 
 def unit_grid(n=16):
@@ -437,8 +437,7 @@ def test_gradv_identity_constant_damping_is_exact():
     later = SimState(
         2.0, start.cells, ScalarField(grid, v0 * math.exp(-sigma_t)),
         start.protease,
-        int_protease=ScalarField.full(grid, sigma_t),
-        int_protease_grad=(ScalarField.zeros(grid),))
+        int_protease=ScalarField.full(grid, sigma_t))
     assert gradv_identity_gap(later, start) <= 1e-14
 
 
@@ -454,9 +453,7 @@ def _consistent_state(n):
                           ScalarField.full(grid, 0.1))
     later = SimState(
         1.0, start.cells, ScalarField(grid, v0 * np.exp(-integral)), start.protease,
-        int_protease=i_field,
-        int_protease_grad=tuple(
-            ScalarField(grid, gcomp) for gcomp in _cell_gradient(i_field)))
+        int_protease=i_field)
     return gradv_identity_gap(later, start)
 
 

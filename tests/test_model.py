@@ -196,4 +196,3 @@ class TestParamsAndState:
         assert s.t == 0.0
         assert s.formulation == "primitive"
         assert np.array_equal(s.int_protease.values, np.zeros(g.shape))
-        assert len(s.int_protease_grad) == 2

@@ -15,6 +15,7 @@ from haptosim.operators import haptotaxis_divergence, laplacian_neumann
 from haptosim.stepping import (
     BlowupError,
     StepperConfig,
+    _cell_gradient,
     from_weighted_form,
     imex_step,
     stable_dt,
@@ -195,14 +196,36 @@ class TestImexStep:
         out = imex_step(s, p, 0.002)
         assert np.sum(out.cells.values) == pytest.approx(before, rel=1e-12)
 
-    def test_accumulators_trapezoid(self):
-        g = build_grid(8, 1.0)
+    @pytest.mark.parametrize("cells", [(8,), (8, 6), (6, 5, 4)],
+                             ids=["1d", "2d", "3d"])
+    def test_accumulators_trapezoid(self, cells):
+        g = build_grid(cells, 1.0)
         s = _smooth_state(g, seed=2)
         p = _params()
         dt = 0.01
         out = imex_step(s, p, dt)
         expected = 0.5 * dt * (s.protease.values + out.protease.values)
         assert np.allclose(out.int_protease.values, expected, rtol=1e-14)
+
+    def test_gradient_of_accumulator_is_accumulated_gradient(self):
+        # the time integral of grad m is derived as the gradient of int m;
+        # both maps are linear, so the two agree to roundoff over a long run
+        g = build_grid((16, 12), (1.0, 0.75))
+        s = _smooth_state(g, seed=4)
+        p = _params()
+        dt = 0.005
+        acc = [np.zeros(g.shape) for _ in range(g.dims)]
+        for _ in range(200):
+            out = imex_step(s, p, dt)
+            for a, go, gn in zip(acc, _cell_gradient(s.protease),
+                                 _cell_gradient(out.protease)):
+                a += 0.5 * dt * (go + gn)
+            s = out
+        derived = _cell_gradient(s.int_protease)
+        scale = max(float(np.max(np.abs(a))) for a in acc)
+        assert scale > 1e-3
+        for a, b in zip(acc, derived):
+            assert np.max(np.abs(a - b)) <= 1e-13
 
     def test_nan_aborts_with_diagnostic(self):
         g = build_grid(8, 1.0)
