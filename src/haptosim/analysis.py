@@ -239,8 +239,13 @@ def bounds_report(history: list[SimState], params: ModelParams,
     t_last = times[-1]
     late_min_m = math.inf
     for s in history:
-        u = as_primitive(s, params).cells
-        w = u.with_values(u.values * taxis_weight(s.ecm, params.taxis).values)
+        z = taxis_weight(s.ecm, params.taxis).values
+        if s.formulation == PRIMITIVE:
+            u = s.cells
+            w = u.with_values(u.values * z)
+        else:
+            w = s.cells
+            u = w.with_values(w.values / z)
         max_mass_u = max(max_mass_u, norm(u, 1))
         max_sup_v = max(max_sup_v, norm(s.ecm, math.inf))
         max_m_excess = max(
