@@ -27,7 +27,14 @@ from .harness import (
     TheoremReport,
     validate_scenario,
 )
-from .model import FunctionSpec, ModelParams, PRIMITIVE, SimState, build_grid
+from .model import (
+    FunctionSpec,
+    ModelParams,
+    PRIMITIVE,
+    SimState,
+    ValidationError,
+    build_grid,
+)
 from .stepping import StepperConfig, as_primitive
 
 SECTIONS = {
@@ -289,10 +296,6 @@ def scenario_to_config(scenario: Scenario) -> str:
 # run artifacts
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def claim_line(c: Claim, spec: str = ".17g") -> str:
     """One claim as a report line, numbers formatted with ``spec``."""
     line = (f"{c.claim_id:32s} {c.verdict:14s} "
@@ -306,30 +309,30 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
                  out_dir: str | Path) -> list[Path]:
     """Write series.csv, per-record snapshots, report.txt, config_echo.
 
-    Numbers use 17 significant digits, enough to reproduce the exact
-    double-precision values on read-back.  Snapshots always contain
-    the primitive cell density, whichever formulation the run used.
-    Returns the paths written.
+    series.csv and the snapshots share one table writer, whose numbers
+    carry 17 significant digits, enough to reproduce the exact doubles
+    on read-back.  Snapshots always contain the primitive cell density,
+    whichever formulation the run used.  Two records whose times agree
+    to the 6 decimals of the snapshot name raise ValidationError before
+    anything is written.  Returns the paths written.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    names = [n for n in result.series]
-    series_path = out / "series.csv"
-    with open(series_path, "w") as fh:
-        fh.write(",".join(["t"] + names) + "\n")
-        if names:
-            columns = [result.series[n] for n in names]
-            for i, t in enumerate(columns[0].t):
-                row = [_fmt(t)] + [_fmt(float(s.values[i])) for s in columns]
-                fh.write(",".join(row) + "\n")
-    written.append(series_path)
-
-    snap_dir = out / "snapshots"
-    snap_dir.mkdir(exist_ok=True)
+    snapshots: dict[Path, SimState] = {}
     for state in result.recorded_states:
-        written.append(_write_snapshot(snap_dir, state, result.scenario.params))
+        path = out / "snapshots" / f"state_{state.t:.6f}.csv"
+        if path in snapshots:
+            raise ValidationError(
+                f"records at t={snapshots[path].t!r} and t={state.t!r} would "
+                f"both be written to snapshots/{path.name}")
+        snapshots[path] = state
+
+    (out / "snapshots").mkdir(parents=True, exist_ok=True)
+    series = list(result.series.values())
+    t = series[0].t if series else np.empty(0)
+    written = [_write_table(out / "series.csv", ["t", *result.series],
+                            [t] + [s.values for s in series])]
+    written += [_write_snapshot(path, state, result.scenario.params)
+                for path, state in snapshots.items()]
 
     if report is not None:
         report_path = out / "report.txt"
@@ -347,22 +350,18 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     return written
 
 
-def _write_snapshot(snap_dir: Path, state: SimState, params) -> Path:
+def _write_table(path: Path, header: list[str], columns: list[np.ndarray]) -> Path:
+    """A header line, then the columns side by side as ``.17g`` rows."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    return path
+
+
+def _write_snapshot(path: Path, state: SimState, params) -> Path:
     prim = as_primitive(state, params)
     grid = prim.grid
-    path = snap_dir / f"state_{state.t:.6f}.csv"
-    index_names = ["i", "j", "k"][:grid.dims]
-    coord_names = ["x", "y", "z"][:grid.dims]
-    axes = [np.arange(n) for n in grid.shape]
-    index_grids = np.meshgrid(*axes, indexing="ij")
-    coord_grids = grid.centers()
-    u, v, m = prim.cells.values, prim.ecm.values, prim.protease.values
-    with open(path, "w") as fh:
-        fh.write(",".join(index_names + coord_names + ["u", "v", "m"]) + "\n")
-        for flat in range(u.size):
-            idx = np.unravel_index(flat, grid.shape)
-            row = [str(int(ig[idx])) for ig in index_grids]
-            row += [_fmt(float(cg[idx])) for cg in coord_grids]
-            row += [_fmt(float(u[idx])), _fmt(float(v[idx])), _fmt(float(m[idx]))]
-            fh.write(",".join(row) + "\n")
-    return path
+    header = ["i", "j", "k"][:grid.dims] + ["x", "y", "z"][:grid.dims] + ["u", "v", "m"]
+    indices = np.meshgrid(*(np.arange(n) for n in grid.shape), indexing="ij")
+    fields = (*indices, *grid.centers(), prim.cells.values, prim.ecm.values,
+              prim.protease.values)
+    return _write_table(path, header, [f.ravel() for f in fields])

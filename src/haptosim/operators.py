@@ -73,9 +73,6 @@ class VectorField:
                 raise ValidationError(
                     f"component {d} has shape {comp.shape}, expected {tuple(want)}")
 
-    def max_abs(self) -> float:
-        return max(float(np.max(np.abs(c))) for c in self.components)
-
 
 def _face_diffs(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f_right - f_left)/h on interior faces; wall faces zero."""

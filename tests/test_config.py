@@ -26,7 +26,7 @@ from haptosim.harness import (
     run,
 )
 from haptosim.model import WEIGHTED
-from haptosim.stepping import StepperConfig
+from haptosim.stepping import StepperConfig, as_primitive
 
 BASE = {
     "model": {"regime": "custom", "mu": "1.0", "gamma": "1.0",
@@ -374,6 +374,53 @@ def test_snapshots_store_primitive_cells_for_weighted_runs(tmp_path):
     assert np.max(np.abs(u - 1.0)) < 1e-12
 
 
+@pytest.mark.parametrize("formulation", ["primitive", "weighted"])
+@pytest.mark.parametrize("cells, extent", [("5, 4", "1.0, 2.0"),
+                                           ("4, 3, 2", "1.0, 0.7, 1.3")],
+                         ids=["2d", "3d"])
+def test_snapshots_read_back_exactly(cells, extent, formulation, tmp_path):
+    scenario = parse_config(config_text(
+        grid__cells=cells, grid__extent=extent, model__formulation=formulation,
+        stepper__t_end="0.1", stepper__record_every="0.05", initial__jitter="0.1"))
+    result = run(scenario)
+    emit_outputs(result, None, tmp_path)
+    grid = scenario.grid
+    names = ["i", "j", "k"][:grid.dims] + ["x", "y", "z"][:grid.dims] + ["u", "v", "m"]
+    assert len(list((tmp_path / "snapshots").iterdir())) == 3
+    for state in result.recorded_states:
+        path = tmp_path / "snapshots" / f"state_{state.t:.6f}.csv"
+        assert path.read_text().split("\n", 1)[0] == ",".join(names)
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        prim = as_primitive(state, scenario.params)
+        indices = np.meshgrid(*(np.arange(n) for n in grid.shape), indexing="ij")
+        expected = np.column_stack(
+            [f.ravel() for f in (*indices, *grid.centers(), prim.cells.values,
+                                 prim.ecm.values, prim.protease.values)])
+        np.testing.assert_array_equal(table, expected)
+
+
+def test_snapshot_bytes_2d(tmp_path):
+    # integer-valued numbers print bare (indices "0", u "1"); others at .17g
+    scenario = parse_config(config_text(
+        grid__cells="2, 2", grid__extent="1.0, 2.0", initial__v0="constant(0.1)",
+        initial__m0="constant(0.25)", stepper__t_end="0.1"))
+    emit_outputs(run(scenario), None, tmp_path)
+    lines = (tmp_path / "snapshots" / "state_0.000000.csv").read_text().split("\n")
+    assert lines[:2] == ["i,j,x,y,u,v,m", "0,0,0.25,0.5,1,0.10000000000000001,0.25"]
+
+
+def test_snapshot_name_collision_raises_before_writing(tmp_path):
+    scenario = replace(preset_scenario("byrne_baseline"),
+                       stepper=StepperConfig(0.1000004, 0.01, 0.05))
+    result = run(scenario)
+    assert len(result.recorded_states) == 4
+    first, second = (repr(s.t) for s in result.recorded_states[2:])
+    with pytest.raises(ValidationError, match="state_0.100000.csv") as info:
+        emit_outputs(result, None, tmp_path / "out")
+    assert f"t={first}" in str(info.value) and f"t={second}" in str(info.value)
+    assert not (tmp_path / "out").exists()
+
+
 def test_report_lines_carry_verdict_and_numbers(tiny_result, tmp_path):
     fit = DecayFit(rate=0.9, amplitude=0.1, r_squared=0.995,
                    window=(1.0, 2.0), n_samples=11)
@@ -445,6 +492,15 @@ def test_cli_reports_parse_errors(tmp_path, capsys):
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: line 2: unknown key")
+
+
+def test_cli_reports_snapshot_name_collision(tmp_path, capsys):
+    cfg = write_config(tmp_path, config_text(
+        stepper__t_end="0.1000004", stepper__dt_max="0.01",
+        stepper__record_every="0.05"))
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: records at t=") and "state_0.100000.csv" in err
 
 
 def test_cli_reports_missing_file(tmp_path, capsys):
