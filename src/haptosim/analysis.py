@@ -27,7 +27,7 @@ from .model import (
     taxis_weight,
 )
 from .operators import (
-    _axis_slice,
+    _MID,
     _neighbour_mean,
     gradient_faces,
     haptotaxis_divergence,
@@ -373,7 +373,7 @@ def gradv_identity_gap(state: SimState, initial: SimState) -> float:
     v0 = initial.ecm.values
     gap = 0.0
     for d in range(dims):
-        interior = _axis_slice(dims, d, slice(1, -1))
+        interior = _MID[dims, d]
         recon = (_neighbour_mean(damp, d)
                  * (grad_v0.components[d][interior]
                     - _neighbour_mean(v0 * int_grad[d], d)))

@@ -191,6 +191,9 @@ def validate_scenario(scenario: Scenario) -> tuple[ScalarField, ScalarField, Sca
     """Check the regime's hypotheses; returns the evaluated initial fields."""
     u0, v0, m0 = build_initial_fields(scenario)
     for label, f in (("u0", u0), ("v0", v0), ("m0", m0)):
+        # checked after the jitter, and first: a NaN passes ``min < 0``
+        if not np.isfinite(f.values).all():
+            raise ValidationError(f"{label} must be finite everywhere")
         if float(np.min(f.values)) < 0:
             raise ValidationError(f"{label} must be nonnegative everywhere")
 

@@ -12,6 +12,7 @@ state with its running time integral of the protease.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -82,13 +83,21 @@ class Grid:
     def shape(self) -> tuple[int, ...]:
         return self.cells
 
-    @property
+    # computed once per grid: the frozen dataclass is not slotted, so the
+    # cached value lands in the instance dict and stays out of eq and hash
+    @functools.cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(e / n for e, n in zip(self.extents, self.cells))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return math.prod(self.spacing)
+
+    @functools.cached_property
+    def face_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shape of the face array normal to each axis: one more entry along it."""
+        return tuple(self.cells[:d] + (n + 1,) + self.cells[d + 1:]
+                     for d, n in enumerate(self.cells))
 
     @property
     def domain_volume(self) -> float:
@@ -122,6 +131,9 @@ def build_grid(cells: int | Sequence[int],
     return Grid(cells_t, extents_t, origin_t)
 
 
+_FLOAT64 = np.dtype(float)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     """One real value per grid cell.
@@ -135,11 +147,14 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = self.values
+        # a float64 ndarray is kept as is, which is what asarray would do
+        if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
+            arr = np.asarray(arr, dtype=float)
+            object.__setattr__(self, "values", arr)
         if arr.shape != self.grid.shape:
             raise ValidationError(
                 f"field shape {arr.shape} does not match grid {self.grid.shape}")
-        object.__setattr__(self, "values", arr)
 
     @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":
@@ -293,17 +308,18 @@ class FunctionSpec:
     def __call__(self, v):
         """Evaluate at ``v`` (scalar or array); negative inputs clamp to 0."""
         arr = np.asarray(v, dtype=float)
-        w = np.maximum(arr, 0.0)
-        if self.family == "constant":
-            out = np.full_like(w, self.coeffs[0])
-        elif self.family == "affine":
-            a, b = self.coeffs
-            out = a + b * w
-        elif self.family == "saturating":
-            cap, s = self.coeffs
-            out = cap + s * w / (1.0 + w)
+        if self.family == "constant":  # no clamp needed: the value ignores v
+            out = np.full_like(arr, self.coeffs[0])
         else:
-            out = np.interp(w, self.nodes, self.table)
+            w = np.maximum(arr, 0.0)
+            if self.family == "affine":
+                a, b = self.coeffs
+                out = a + b * w
+            elif self.family == "saturating":
+                cap, s = self.coeffs
+                out = cap + s * w / (1.0 + w)
+            else:
+                out = np.interp(w, self.nodes, self.table)
         return float(out) if arr.ndim == 0 else out
 
     def antiderivative(self, v):
@@ -415,8 +431,9 @@ class SimState:
         grid = self.cells.grid
         if self.int_protease is None:
             object.__setattr__(self, "int_protease", ScalarField.zeros(grid))
-        if any(f.grid != grid for f in (self.ecm, self.protease, self.int_protease)):
-            raise ValidationError("all state fields must share one grid")
+        for f in (self.ecm, self.protease, self.int_protease):
+            if f.grid is not grid and f.grid != grid:
+                raise ValidationError("all state fields must share one grid")
 
     @property
     def grid(self) -> Grid:

@@ -38,12 +38,24 @@ def _axis_slice(dims: int, axis: int, sl: slice | int) -> tuple:
     return tuple(out)
 
 
+# all but the last, all but the first, and all but both ends along one axis,
+# keyed by (dims, axis) and built once
+_LO, _HI, _MID = (
+    {(dims, axis): _axis_slice(dims, axis, sl)
+     for dims in (1, 2, 3) for axis in range(dims)}
+    for sl in (slice(None, -1), slice(1, None), slice(1, -1)))
+
+
+def _diff(values: np.ndarray, axis: int) -> np.ndarray:
+    """``hi - lo`` of each adjacent pair along ``axis``; the bits of ``np.diff``."""
+    key = values.ndim, axis
+    return values[_HI[key]] - values[_LO[key]]
+
+
 def _neighbour_mean(values: np.ndarray, axis: int) -> np.ndarray:
     """``(lo + hi) / 2`` of each adjacent pair along ``axis``; one entry shorter there."""
-    dims = values.ndim
-    lo = values[_axis_slice(dims, axis, slice(None, -1))]
-    hi = values[_axis_slice(dims, axis, slice(1, None))]
-    return 0.5 * (lo + hi)
+    key = values.ndim, axis
+    return 0.5 * (values[_LO[key]] + values[_HI[key]])
 
 
 def drift_velocity(v: ScalarField, chi: FunctionSpec, axis: int) -> np.ndarray:
@@ -52,7 +64,7 @@ def drift_velocity(v: ScalarField, chi: FunctionSpec, axis: int) -> np.ndarray:
     ``chi`` takes the arithmetic face average of ``v``; wall faces,
     where the velocity vanishes, are left out.
     """
-    dv = np.diff(v.values, axis=axis) / v.grid.spacing[axis]
+    dv = _diff(v.values, axis) / v.grid.spacing[axis]
     return chi(_neighbour_mean(v.values, axis)) * dv
 
 
@@ -66,21 +78,16 @@ class VectorField:
     def __post_init__(self):
         if len(self.components) != self.grid.dims:
             raise ValidationError("need one component per axis")
-        for d, comp in enumerate(self.components):
-            want = list(self.grid.shape)
-            want[d] += 1
-            if comp.shape != tuple(want):
+        for d, (comp, want) in enumerate(zip(self.components, self.grid.face_shapes)):
+            if comp.shape != want:
                 raise ValidationError(
-                    f"component {d} has shape {comp.shape}, expected {tuple(want)}")
+                    f"component {d} has shape {comp.shape}, expected {want}")
 
 
 def _face_diffs(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f_right - f_left)/h on interior faces; wall faces zero."""
-    shape = list(grid.shape)
-    shape[axis] += 1
-    out = np.zeros(shape)
-    interior = _axis_slice(grid.dims, axis, slice(1, -1))
-    out[interior] = np.diff(values, axis=axis) / grid.spacing[axis]
+    out = np.zeros(grid.face_shapes[axis])
+    out[_MID[grid.dims, axis]] = _diff(values, axis) / grid.spacing[axis]
     return out
 
 
@@ -93,7 +100,7 @@ def gradient_faces(f: ScalarField) -> VectorField:
 def _face_divergence(grid: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
     out = np.zeros(grid.shape)
     for d, flux in enumerate(fluxes):
-        out += np.diff(flux, axis=d) / grid.spacing[d]
+        out += _diff(flux, d) / grid.spacing[d]
     return out
 
 
@@ -122,25 +129,22 @@ def haptotaxis_divergence(u: ScalarField, v: ScalarField, chi: FunctionSpec,
     """
     if scheme not in ("upwind", "centered"):
         raise ValidationError(f"unknown scheme {scheme!r}")
-    if u.grid != v.grid:
-        raise ValidationError("u and v must share a grid")
     grid = u.grid
-    dims = grid.dims
+    if v.grid is not grid and v.grid != grid:
+        raise ValidationError("u and v must share a grid")
+    dims, cells = grid.dims, u.values
     fluxes = []
-    for d in range(dims):
+    for d, shape in enumerate(grid.face_shapes):
         vel = drift_velocity(v, chi, d)
         if scheme == "upwind":
-            lo = _axis_slice(dims, d, slice(None, -1))
-            hi = _axis_slice(dims, d, slice(1, None))
-            uface = np.where(vel > 0, u.values[lo], u.values[hi])
+            key = dims, d
+            uface = np.where(vel > 0, cells[_LO[key]], cells[_HI[key]])
         else:
-            uface = _neighbour_mean(u.values, d)
-        shape = list(grid.shape)
-        shape[d] += 1
+            uface = _neighbour_mean(cells, d)
         flux = np.zeros(shape)
-        flux[_axis_slice(dims, d, slice(1, -1))] = uface * vel
+        flux[_MID[dims, d]] = uface * vel
         fluxes.append(flux)
-    return u.with_values(_face_divergence(grid, fluxes))
+    return ScalarField(grid, _face_divergence(grid, fluxes))
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .model import (
     taxis_weight,
 )
 from .operators import (
+    _face_diffs,
     _neighbour_mean,
     drift_velocity,
     gradient_faces,
@@ -110,24 +111,26 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
     (decay plus current level plus the production sensitivity
     ``L_g * max u``).  Denominators are floored at 1e-14 so quiescent
     states fall back to ``dt_max``.
+
+    The guards read the state's raw arrays; a weighted state is divided
+    by its taxis weight once, without building a primitive state.
     """
-    grid = state.grid
-    u = as_primitive(state, params).cells.values
-    v = state.ecm.values
-    m = state.protease.values
+    ecm = state.ecm
+    u = _primitive_cells(state, params)
+    v, m = ecm.values, state.protease.values
 
     candidates = []
-    for d in range(grid.dims):
-        vel = drift_velocity(state.ecm, params.taxis, d)
-        speed = float(np.max(np.abs(vel))) if vel.size else 0.0
-        candidates.append(cfg.cfl * grid.spacing[d] / max(speed, DENOM_FLOOR))
+    # every axis has at least two cells, so every velocity array is nonempty
+    for d, h in enumerate(ecm.grid.spacing):
+        speed = float(np.abs(drift_velocity(ecm, params.taxis, d)).max())
+        candidates.append(cfg.cfl * h / max(speed, DENOM_FLOOR))
 
     if params.growth_rate > 0:
-        rate = params.growth_rate * float(np.max(1.0 + u + v))
+        rate = params.growth_rate * float((1.0 + u + v).max())
         candidates.append(cfg.cfl / max(rate, DENOM_FLOOR))
 
-    production_stiffness = params.production.lipschitz_value * float(np.max(u))
-    rate = params.protease_decay + float(np.max(m)) + production_stiffness
+    production_stiffness = params.production.lipschitz_value * float(u.max())
+    rate = params.protease_decay + float(m.max()) + production_stiffness
     candidates.append(cfg.cfl / max(rate, DENOM_FLOOR))
 
     return min(cfg.dt_max, min(candidates))
@@ -139,10 +142,21 @@ def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
             for d, comp in enumerate(gradient_faces(f).components)]
 
 
-def _ensure_finite(t: float, **fields: np.ndarray) -> None:
-    bad = [name for name, arr in fields.items() if not np.all(np.isfinite(arr))]
-    if bad:
-        raise BlowupError(t, bad)
+def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:
+    """The primitive cell density ``u`` as a raw array, whichever form the state holds."""
+    cells = state.cells.values
+    if state.formulation == PRIMITIVE:
+        return cells
+    return cells / taxis_weight(state.ecm, params.taxis).values
+
+
+def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
+                   protease: np.ndarray) -> None:
+    if np.isfinite(cells).all() and np.isfinite(ecm).all() and np.isfinite(protease).all():
+        return
+    fields = {"cells": cells, "ecm": ecm, "protease": protease}
+    raise BlowupError(t, [name for name, arr in fields.items()
+                          if not np.isfinite(arr).all()])
 
 
 def imex_step(state: SimState, params: ModelParams, dt: float,
@@ -151,49 +165,51 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
 
     ``flux_scheme`` selects the drift discretization for primitive-form
     runs ("upwind" or "centered"); weighted-form runs ignore it.
+
+    The splitting of the module docstring is written out on raw arrays.
+    The matrix update is :func:`step_v_exact`, the two solves go through
+    :func:`~haptosim.operators.helmholtz_solve` and the primitive drift
+    through :func:`~haptosim.operators.haptotaxis_divergence`; a field is
+    wrapped only where one of those takes it, and the fields they return
+    go into the new state as they are.  Raises :class:`BlowupError`,
+    naming every field at fault, when the state entering or leaving the
+    step holds a non-finite value.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     if flux_scheme not in ("upwind", "centered"):
         raise ValidationError(
             f"flux_scheme must be 'upwind' or 'centered', got {flux_scheme!r}")
-    _ensure_finite(state.t, cells=state.cells.values, ecm=state.ecm.values,
-                   protease=state.protease.values)
-    cells, v, m = state.cells, state.ecm, state.protease
+    grid = state.grid
+    w, v, m = state.cells.values, state.ecm.values, state.protease.values
+    _ensure_finite(state.t, w, v, m)
     chi, g = params.taxis, params.production
     mu = params.growth_rate
-    primitive = state.formulation == PRIMITIVE
-    # the primitive cell density, whichever form ``cells`` holds
-    u = cells.values if primitive else cells.values / taxis_weight(v, chi).values
+    u = _primitive_cells(state, params)
 
-    m_new = helmholtz_solve(
+    protease_new = helmholtz_solve(
         params.protease_diffusion, 1.0 / dt + params.protease_decay,
-        m.with_values(m.values / dt + u * g(v.values)))
-    v_new = step_v_exact(v, m, dt)
+        ScalarField(grid, m / dt + u * g(v)))
+    ecm_new = step_v_exact(state.ecm, state.protease, dt)
 
-    if primitive:
-        drift = haptotaxis_divergence(cells, v, chi, scheme=flux_scheme)
-        explicit = -drift.values + mu * u * (1.0 - u - v.values)
+    if state.formulation == PRIMITIVE:
+        drift = haptotaxis_divergence(state.cells, state.ecm, chi,
+                                      scheme=flux_scheme).values
+        explicit = -drift + mu * u * (1.0 - u - v)
     else:
-        w = cells.values
-        grad_v = gradient_faces(v)
-        grad_w = gradient_faces(cells)
-        dot = np.zeros(state.grid.shape)
-        for d in range(state.grid.dims):
-            dot += _neighbour_mean(grad_v.components[d] * grad_w.components[d], d)
-        chi_v = chi(v.values)
-        explicit = (chi_v * dot
-                    + mu * w * (1.0 - u - v.values)
-                    + chi_v * w * v.values * m.values)
-    cells_new = helmholtz_solve(1.0, 1.0 / dt,
-                                cells.with_values(cells.values / dt + explicit))
+        dot = np.zeros(grid.shape)
+        for d in range(grid.dims):
+            dot += _neighbour_mean(_face_diffs(v, grid, d) * _face_diffs(w, grid, d), d)
+        chi_v = chi(v)
+        explicit = chi_v * dot + mu * w * (1.0 - u - v) + chi_v * w * v * m
+    cells_new = helmholtz_solve(1.0, 1.0 / dt, ScalarField(grid, w / dt + explicit))
 
-    _ensure_finite(state.t, cells=cells_new.values, ecm=v_new.values,
-                   protease=m_new.values)
+    m_new = protease_new.values
+    _ensure_finite(state.t, cells_new.values, ecm_new.values, m_new)
 
-    int_m = state.int_protease.values + 0.5 * dt * (m.values + m_new.values)
-    return SimState(state.t + dt, cells_new, v_new, m_new, state.formulation,
-                    state.int_protease.with_values(int_m))
+    int_m = state.int_protease.values + 0.5 * dt * (m + m_new)
+    return SimState(state.t + dt, cells_new, ecm_new, protease_new, state.formulation,
+                    ScalarField(grid, int_m))
 
 
 def to_weighted_form(state: SimState, params: ModelParams) -> SimState:
@@ -209,8 +225,7 @@ def from_weighted_form(state: SimState, params: ModelParams) -> SimState:
     """Recover the primitive cell density from a weighted-form state."""
     if state.formulation != WEIGHTED:
         raise ValidationError("state is not in weighted form")
-    z = taxis_weight(state.ecm, params.taxis)
-    return replace(state, cells=state.cells.with_values(state.cells.values / z.values),
+    return replace(state, cells=state.cells.with_values(_primitive_cells(state, params)),
                    formulation=PRIMITIVE)
 
 

@@ -503,6 +503,15 @@ def test_cli_reports_snapshot_name_collision(tmp_path, capsys):
     assert err.startswith("error: records at t=") and "state_0.100000.csv" in err
 
 
+@pytest.mark.parametrize("v0", ["constant(nan)", "bump(0.5, 0.1, inf)"])
+def test_cli_reports_non_finite_initial_data(tmp_path, capsys, v0):
+    cfg = write_config(tmp_path, config_text(initial__v0=v0))
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "v0 must be finite everywhere" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_reports_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert main(["run", "-c", missing, "-o", str(tmp_path / "out")]) == 1

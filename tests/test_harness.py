@@ -130,6 +130,30 @@ def test_validate_rejects_negative_initial_field():
         validate_scenario(sc)
 
 
+@pytest.mark.parametrize("label, spec", [
+    ("u0", InitialSpec.constant(math.nan)),
+    ("v0", InitialSpec.constant(math.nan)),
+    ("v0", InitialSpec.bump(0.5, 0.1, math.inf)),
+    ("m0", InitialSpec.constant(-math.inf)),
+], ids=["u0-nan", "v0-nan", "v0-inf-bump", "m0-minus-inf"])
+def test_validate_rejects_non_finite_initial_field(label, spec):
+    # a NaN slips past the nonnegativity check, and -inf must be reported
+    # as non-finite rather than negative
+    sc = quick_scenario(**{label: spec})
+    with pytest.raises(ValidationError, match=f"{label} must be finite everywhere"):
+        validate_scenario(sc)
+
+
+def test_validate_rejects_field_made_non_finite_by_jitter():
+    # 1e308 * (1 + N(0,1)) overflows to inf wherever the draw exceeds about 0.8
+    spec = InitialSpec.constant(1e308)
+    sc = quick_scenario(u0=spec, jitter=1.0, seed=0)
+    assert np.isfinite(spec.evaluate(sc.grid)).all()
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValidationError, match="u0 must be finite everywhere"):
+            validate_scenario(sc)
+
+
 def test_bound3_regime_needs_positive_mu():
     sc = quick_scenario(regime="theorem_bound3", mu=0.0)
     with pytest.raises(ValidationError,

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from haptosim.model import (
+    WEIGHTED,
     FunctionSpec,
     ModelParams,
     ScalarField,
+    SimState,
     ValidationError,
     build_grid,
     initial_state,
+    taxis_weight,
 )
-from haptosim.operators import haptotaxis_divergence, laplacian_neumann
+from haptosim.operators import (
+    gradient_faces,
+    haptotaxis_divergence,
+    helmholtz_solve,
+    laplacian_neumann,
+)
 from haptosim.stepping import (
     BlowupError,
     StepperConfig,
@@ -235,11 +243,89 @@ class TestImexStep:
             imex_step(s, _params(), 0.1)
         assert "cells" in str(err.value)
 
+    def test_blowup_names_every_non_finite_entry_field(self):
+        g = build_grid(8, 1.0)
+        nan = ScalarField(g, np.full(8, np.nan))
+        s = initial_state(nan, ScalarField.zeros(g), nan)
+        with pytest.raises(BlowupError) as err:
+            imex_step(s, _params(), 0.1)
+        assert err.value.fields == ["cells", "protease"]
+        assert err.value.t == 0.0
+
+    def test_blowup_names_only_the_overflowing_output_field(self):
+        # v * exp(-m dt) overflows at m = -1e3, dt = 1; the protease and
+        # cell solves stay finite
+        g = build_grid(8, 1.0)
+        s = initial_state(ScalarField.full(g, 1.0), ScalarField.full(g, 1.0),
+                          ScalarField.full(g, -1e3))
+        with np.errstate(over="ignore"), pytest.raises(BlowupError) as err:
+            imex_step(s, _params(), 1.0)
+        assert err.value.fields == ["ecm"]
+
     def test_rejects_nonpositive_dt(self):
         g = build_grid(8, 1.0)
         s = initial_state(*[ScalarField.zeros(g)] * 3)
         with pytest.raises(ValidationError):
             imex_step(s, _params(), 0.0)
+
+
+def _cells_from_faces(face, axis):
+    """Average a face array back to the cells on either side of each face."""
+    n = face.shape[axis]
+    lo = np.take(face, np.arange(n - 1), axis=axis)
+    hi = np.take(face, np.arange(1, n), axis=axis)
+    return 0.5 * (lo + hi)
+
+
+def _split_step(state, params, dt, flux_scheme):
+    """One step of the module docstring's splitting, built from the public operators."""
+    chi, g, mu = params.taxis, params.production, params.growth_rate
+    cells, v, m = state.cells, state.ecm, state.protease
+    weighted = state.formulation == WEIGHTED
+    u = cells.values / taxis_weight(v, chi).values if weighted else cells.values
+    m_new = helmholtz_solve(params.protease_diffusion, 1.0 / dt + params.protease_decay,
+                            m.with_values(m.values / dt + u * g(v.values)))
+    v_new = step_v_exact(v, m, dt)
+    if weighted:
+        w = cells.values
+        grad_v, grad_w = gradient_faces(v), gradient_faces(cells)
+        dot = np.zeros(state.grid.shape)
+        for d in range(state.grid.dims):
+            dot += _cells_from_faces(grad_v.components[d] * grad_w.components[d], d)
+        chi_v = chi(v.values)
+        explicit = (chi_v * dot + mu * w * (1.0 - u - v.values)
+                    + chi_v * w * v.values * m.values)
+    else:
+        drift = haptotaxis_divergence(cells, v, chi, scheme=flux_scheme)
+        explicit = -drift.values + mu * u * (1.0 - u - v.values)
+    cells_new = helmholtz_solve(1.0, 1.0 / dt,
+                                cells.with_values(cells.values / dt + explicit))
+    int_m = state.int_protease.with_values(
+        state.int_protease.values + 0.5 * dt * (m.values + m_new.values))
+    return SimState(state.t + dt, cells_new, v_new, m_new, state.formulation, int_m)
+
+
+@pytest.mark.parametrize("cells", [(16,), (8, 6), (6, 5, 4)], ids=["1d", "2d", "3d"])
+@pytest.mark.parametrize("form, flux_scheme", [
+    ("primitive", "upwind"), ("primitive", "centered"), ("weighted", "upwind"),
+], ids=["upwind", "centered", "weighted"])
+def test_step_is_the_documented_splitting_bit_for_bit(cells, form, flux_scheme):
+    g = build_grid(cells, tuple(1.0 + 0.25 * d for d in range(len(cells))))
+    p = _params(mu=0.8, chi=FunctionSpec.saturating(0.3, 1.2),
+                g=FunctionSpec.affine(0.2, 0.9))
+    s = _smooth_state(g, seed=len(cells))
+    if form == "weighted":
+        s = to_weighted_form(s, p)
+    cfg = StepperConfig(t_end=1.0, dt_max=0.05, record_every=1.0)
+    for _ in range(3):
+        dt = stable_dt(s, p, cfg)
+        out = imex_step(s, p, dt, flux_scheme=flux_scheme)
+        ref = _split_step(s, p, dt, flux_scheme)
+        assert out.t == ref.t and out.formulation == ref.formulation
+        for name in ("cells", "ecm", "protease", "int_protease"):
+            assert np.array_equal(getattr(out, name).values,
+                                  getattr(ref, name).values), name
+        s = out
 
 
 class TestFormulationTransforms:
