@@ -57,6 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
+
+
 def _resolve_out(args, text: str) -> str:
     out = args.out or output_dir(text)
     if out is None:
@@ -73,7 +80,7 @@ def main(argv=None) -> int:
                 print(scenario_to_config(preset_scenario(name)))
             return 0
 
-        text = Path(args.config).read_text()
+        text = _read_config(args.config)
         scenario = parse_config(text)
 
         if args.command == "convergence":

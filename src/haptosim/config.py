@@ -345,7 +345,7 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     text = result.scenario.source_text
     if text is None:
         text = scenario_to_config(result.scenario)
-    echo_path.write_text(text)
+    echo_path.write_text(text, encoding="utf-8")
     written.append(echo_path)
     return written
 

@@ -197,6 +197,17 @@ def validate_scenario(scenario: Scenario) -> tuple[ScalarField, ScalarField, Sca
         if float(np.min(f.values)) < 0:
             raise ValidationError(f"{label} must be nonnegative everywhere")
 
+    # no run within MAX_STEPS can reach t_end past either bound: every
+    # step is at most dt_max long, and every record time needs a step of
+    # its own (or, when record_every is below run()'s eps, a loop pass)
+    cfg = scenario.stepper
+    for name in ("dt_max", "record_every"):
+        needed = cfg.t_end / getattr(cfg, name)
+        if needed > MAX_STEPS:
+            raise ValidationError(
+                f"t_end / {name} needs {needed:.4g} steps, more than the "
+                f"budget of {MAX_STEPS} steps")
+
     params, regime = scenario.params, scenario.regime
     g = params.production
     if regime == "theorem_bound3":

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haptosim import FunctionSpec, ModelParams, ValidationError, build_grid
+from haptosim import harness
 from haptosim.analysis import DecayFit
 from haptosim.cli import main
 from haptosim.config import (
@@ -516,6 +517,29 @@ def test_cli_reports_missing_file(tmp_path, capsys):
     missing = str(tmp_path / "nope.ini")
     assert main(["run", "-c", missing, "-o", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_reports_non_utf8_file(tmp_path, capsys):
+    data = np.random.default_rng(0).bytes(300)
+    with pytest.raises(UnicodeDecodeError):
+        data.decode("utf-8")
+    path = tmp_path / "noise.ini"
+    path.write_bytes(data)
+    assert main(["run", "-c", str(path), "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_schedule_beyond_step_budget(tmp_path, capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before validation")
+    monkeypatch.setattr(harness, "imex_step", no_step)
+    cfg = write_config(tmp_path, config_text(
+        stepper__t_end="0.02", stepper__dt_max="1e-9"))
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: t_end / dt_max needs 2e+07 steps")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_passes_on_conserved_run(tmp_path, capsys):

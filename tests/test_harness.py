@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,9 @@ from haptosim import (
     build_grid,
     initial_state,
 )
+from haptosim import harness
 from haptosim.harness import (
+    MAX_STEPS,
     Claim,
     InitialSpec,
     RunResult,
@@ -229,6 +232,33 @@ def test_zero_jitter_reproduces_recipe_exactly():
 
 # ---------------------------------------------------------------------------
 # presets
+
+
+@pytest.mark.parametrize("stepper, message", [
+    ({"t_end": 0.02, "dt_max": 1e-9}, "t_end / dt_max needs 2e+07 steps"),
+    ({"t_end": 0.02, "record_every": 1e-12},
+     "t_end / record_every needs 2e+10 steps"),
+], ids=["dt_max", "record_every"])
+def test_validate_rejects_schedule_beyond_step_budget(stepper, message):
+    # a tiny dt_max would run 2e7 steps before the budget guard fires; a
+    # record_every below eps spins the record loop without taking a step
+    sc = quick_scenario(**stepper)
+    with pytest.raises(ValidationError, match=re.escape(message)) as info:
+        validate_scenario(sc)
+    assert f"budget of {MAX_STEPS} steps" in str(info.value)
+
+
+def test_validate_accepts_schedule_at_step_budget():
+    assert 1.0 / 1e-7 == MAX_STEPS
+    validate_scenario(quick_scenario(t_end=1.0, dt_max=1e-7, record_every=1e-7))
+
+
+def test_run_rejects_schedule_beyond_step_budget_before_stepping(monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before validation")
+    monkeypatch.setattr(harness, "imex_step", no_step)
+    with pytest.raises(ValidationError, match="needs 2e\\+07 steps"):
+        run(quick_scenario(t_end=0.02, dt_max=1e-9))
 
 
 def test_presets_all_validate():
