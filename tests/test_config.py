@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 
 from haptosim import FunctionSpec, ModelParams, ValidationError, build_grid
 from haptosim import harness
-from haptosim.analysis import DecayFit
+from haptosim.analysis import DecayFit, TimeSeries
 from haptosim.cli import main
 from haptosim.config import (
     ConfigError,
@@ -20,13 +24,14 @@ from haptosim.harness import (
     SERIES_NAMES,
     Claim,
     InitialSpec,
+    RunResult,
     Scenario,
     TheoremReport,
     preset_names,
     preset_scenario,
     run,
 )
-from haptosim.model import WEIGHTED
+from haptosim.model import WEIGHTED, ScalarField, SimState
 from haptosim.stepping import StepperConfig, as_primitive
 
 BASE = {
@@ -422,6 +427,146 @@ def test_snapshot_name_collision_raises_before_writing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def savetxt_bytes(path, header, columns):
+    """What ``np.savetxt`` writes for the columns: the writer's byte oracle."""
+    np.savetxt(path, np.column_stack(columns), fmt="%.17g", delimiter=",",
+               header=",".join(header), comments="")
+    return path.read_bytes()
+
+
+def awkward_values(rng, n, special):
+    """Doubles over the whole exponent range, led by the ``special`` ones."""
+    values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    values[:len(special)] = special[:n]
+    return values
+
+
+SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 3.0, -7.0, 2.0**53, 0.1]
+
+
+@pytest.mark.parametrize("cells, extent", [
+    ("127", "1.0"), ("128", "0.7"), ("129", "3.0"), ("130", "1.0"),
+    ("5, 4", "1.0, 2.0"), ("5, 4, 3", "1.2, 1.0, 0.8")],
+    ids=["1d-127", "1d-128", "1d-129", "1d-130", "2d", "3d"])
+def test_snapshot_bytes_match_savetxt(cells, extent, tmp_path):
+    dims = len(cells.split(","))
+    scenario = parse_config(config_text(grid__cells=cells, grid__extent=extent,
+                                        grid__origin=", ".join(["-0.3"] * dims)))
+    grid = scenario.grid
+    rng = np.random.default_rng(11)
+
+    def field():
+        values = awkward_values(rng, int(np.prod(grid.shape)), SPECIAL)
+        return ScalarField(grid, values.reshape(grid.shape))
+
+    states = [SimState(t, field(), field(), field()) for t in (0.0, 0.25)]
+    emit_outputs(RunResult(scenario, states, {}, 0.0, 0.0), None, tmp_path / "out")
+    header = ["i", "j", "k"][:dims] + ["x", "y", "z"][:dims] + ["u", "v", "m"]
+    indices = np.meshgrid(*(np.arange(n) for n in grid.shape), indexing="ij")
+    for state in states:
+        columns = [f.ravel() for f in (*indices, *grid.centers(), state.cells.values,
+                                       state.ecm.values, state.protease.values)]
+        written = tmp_path / "out" / "snapshots" / f"state_{state.t:.6f}.csv"
+        assert written.read_bytes() == savetxt_bytes(tmp_path / "oracle.csv",
+                                                     header, columns)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 300])
+def test_series_bytes_match_savetxt(tiny_result, rows, tmp_path):
+    rng = np.random.default_rng(rows)
+    t = np.cumsum(rng.uniform(0.01, 1.0, rows))
+    # a series holds finite samples only
+    finite = [-0.0, 5e-324, 1e308, 3.0, -7.0, 2.0**53, 0.1]
+    series = {name: TimeSeries(name, t, awkward_values(rng, rows, finite))
+              for name in ("alpha", "beta")}
+    emit_outputs(replace(tiny_result, series=series), None, tmp_path / "out")
+    expected = savetxt_bytes(tmp_path / "oracle.csv", ["t", "alpha", "beta"],
+                             [t] + [s.values for s in series.values()])
+    assert (tmp_path / "out" / "series.csv").read_bytes() == expected
+
+
+def test_rerun_deletes_stale_snapshots_and_nothing_else(tmp_path):
+    base = preset_scenario("byrne_baseline")
+    fine = run(replace(base, stepper=StepperConfig(0.05, 0.01, 0.01)))
+    coarse = run(replace(base, stepper=StepperConfig(0.05, 0.01, 0.025)))
+    out = tmp_path / "out"
+    emit_outputs(fine, None, out)
+    assert len(list((out / "snapshots").iterdir())) == 6
+    (out / "notes.txt").write_text("kept")
+    (out / "snapshots" / "other.csv").write_text("kept")
+    emit_outputs(coarse, None, out)
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+        "other.csv", "state_0.000000.csv", "state_0.025000.csv", "state_0.050000.csv"]
+    assert (out / "notes.txt").read_text() == "kept"
+    assert (out / "snapshots" / "other.csv").read_text() == "kept"
+
+
+def test_run_without_report_deletes_stale_report(tiny_result, tmp_path):
+    report = TheoremReport(regime="custom", claims=(
+        Claim("mass_cap", "bounded mass", "pass", 1.0, 0.5),))
+    emit_outputs(tiny_result, report, tmp_path)
+    assert (tmp_path / "report.txt").exists()
+    paths = emit_outputs(tiny_result, None, tmp_path)
+    assert not (tmp_path / "report.txt").exists()
+    assert all(p.exists() for p in paths)
+
+
+def test_snapshot_name_collision_leaves_old_artifacts_untouched(tmp_path):
+    scenario = replace(preset_scenario("byrne_baseline"),
+                       stepper=StepperConfig(0.1000004, 0.01, 0.05))
+    stale = tmp_path / "snapshots" / "state_9.000000.csv"
+    stale.parent.mkdir()
+    stale.write_text("old")
+    (tmp_path / "report.txt").write_text("old")
+    with pytest.raises(ValidationError, match="state_0.100000.csv"):
+        emit_outputs(run(scenario), None, tmp_path)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "report.txt", "snapshots", "state_9.000000.csv"]
+    assert stale.read_text() == "old"
+    assert (tmp_path / "report.txt").read_text() == "old"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+EMIT_PEAK = """
+import re, sys, tempfile
+from pathlib import Path
+from haptosim.config import emit_outputs, parse_config
+from haptosim.harness import run
+
+def peak_kib():
+    status = Path("/proc/self/status").read_text()
+    return int(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1))
+
+result = run(parse_config(sys.stdin.read()))
+assert len(result.recorded_states) == 41
+with tempfile.TemporaryDirectory() as out:
+    before = peak_kib()
+    emit_outputs(result, None, out)
+    print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_emit_outputs_peak_memory_stays_flat():
+    # 41 snapshots of a 24x20x16 weighted run, in a fresh interpreter so
+    # that the peak is this run's alone.  The peak is VmHWM, not ru_maxrss:
+    # on Linux a child's ru_maxrss starts from the high-water mark of the
+    # process that started it, which here is the whole test session.
+    # Formatting 1024-row blocks or whole records raised it by 4.4-4.8 MB
+    text = config_text(
+        model__taxis="constant(1.0)", model__production="affine(0.0, 1.0)",
+        model__formulation="weighted", grid__cells="24, 20, 16",
+        grid__extent="1.2, 1.0, 0.8", stepper__t_end="0.4",
+        stepper__dt_max="0.01", stepper__record_every="0.01",
+        initial__u0="bump(0.4, 0.15, 0.75)", initial__v0="constant(1.0)",
+        initial__m0="constant(0.0)")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", EMIT_PEAK], input=text, env=env,
+                          capture_output=True, text=True, check=True)
+    assert int(proc.stdout) < 1024
+
+
 def test_report_lines_carry_verdict_and_numbers(tiny_result, tmp_path):
     fit = DecayFit(rate=0.9, amplitude=0.1, r_squared=0.995,
                    window=(1.0, 2.0), n_samples=11)
@@ -502,6 +647,23 @@ def test_cli_reports_snapshot_name_collision(tmp_path, capsys):
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: records at t=") and "state_0.100000.csv" in err
+
+
+def test_cli_rerun_removes_stale_artifacts(tmp_path, capsys):
+    conserved = dict(model__regime="mu_zero_conservation", model__mu="0.0",
+                     model__production="affine(0.0, 1.0)")
+    fine = write_config(tmp_path, config_text(**conserved), "fine.ini")
+    coarse = write_config(tmp_path, config_text(
+        **conserved, stepper__record_every="0.25"), "coarse.ini")
+    out = tmp_path / "out"
+    assert main(["verify", "-c", fine, "-o", str(out)]) == 0
+    assert (out / "report.txt").exists()
+    assert len(list((out / "snapshots").iterdir())) == 6
+    assert main(["run", "-c", coarse, "-o", str(out)]) == 0
+    assert not (out / "report.txt").exists()
+    assert sorted(p.name for p in (out / "snapshots").iterdir()) == [
+        "state_0.000000.csv", "state_0.250000.csv", "state_0.500000.csv"]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("v0", ["constant(nan)", "bump(0.5, 0.1, inf)"])
