@@ -375,9 +375,9 @@ def gradv_identity_gap(state: SimState, initial: SimState) -> float:
     for d in range(dims):
         interior = _MID[dims, d]
         recon = (_neighbour_mean(damp, d)
-                 * (grad_v0.components[d][interior]
+                 * (grad_v0[d][interior]
                     - _neighbour_mean(v0 * int_grad[d], d)))
-        diff = grad_v.components[d][interior] - recon
+        diff = grad_v[d][interior] - recon
         if diff.size:
             gap = max(gap, float(np.max(np.abs(diff))))
     return gap

@@ -28,6 +28,7 @@ from .harness import (
     validate_scenario,
 )
 from .model import (
+    FamilySpec,
     FunctionSpec,
     ModelParams,
     PRIMITIVE,
@@ -144,33 +145,31 @@ def _pairs(args: list[str], lineno: int) -> tuple[list[float], list[float]]:
     return xs, ys
 
 
-def _function(value: str, lineno: int) -> FunctionSpec:
+# the value grammar of each spec type, as cited in its parse errors
+_FORMS = {
+    FunctionSpec: "constant(c), affine(a, b), saturating(cap, slope) or "
+                  "tabulated(x:y, ...)",
+    InitialSpec: "constant(c), bump(center, width, amplitude[, offset]) or "
+                 "tabulated(x:y, ...)",
+}
+
+
+def _spec(cls: type[FamilySpec], value: str, lineno: int) -> FamilySpec:
+    """Parse ``family(args)`` through the classmethod of that family.
+
+    ``cls.ARITY`` gives the family's coefficient count, or None for a
+    table of ``x:y`` pairs; trailing arguments that the classmethod
+    gives defaults may be left out.
+    """
     family, args = _call_form(value, lineno)
-    if family == "constant" and len(args) == 1:
-        return FunctionSpec.constant(_float(args[0], lineno))
-    if family == "affine" and len(args) == 2:
-        return FunctionSpec.affine(_float(args[0], lineno), _float(args[1], lineno))
-    if family == "saturating" and len(args) == 2:
-        return FunctionSpec.saturating(_float(args[0], lineno), _float(args[1], lineno))
-    if family == "tabulated" and args:
-        return FunctionSpec.tabulated(*_pairs(args, lineno))
-    raise ConfigError(
-        f"expected constant(c), affine(a, b), saturating(cap, slope) or "
-        f"tabulated(x:y, ...), got {value!r}", lineno)
-
-
-def _initial(value: str, lineno: int) -> InitialSpec:
-    kind, args = _call_form(value, lineno)
-    if kind == "constant" and len(args) == 1:
-        return InitialSpec.constant(_float(args[0], lineno))
-    if kind == "bump" and len(args) in (3, 4):
-        nums = [_float(a, lineno) for a in args]
-        return InitialSpec.bump(*nums)
-    if kind == "tabulated" and args:
-        return InitialSpec.tabulated(*_pairs(args, lineno))
-    raise ConfigError(
-        f"expected constant(c), bump(center, width, amplitude[, offset]) or "
-        f"tabulated(x:y, ...), got {value!r}", lineno)
+    arity = cls.ARITY.get(family, 0)
+    if arity is None and args:
+        return cls.tabulated(*_pairs(args, lineno))
+    if arity:
+        build = getattr(cls, family)
+        if arity - len(build.__defaults__ or ()) <= len(args) <= arity:
+            return build(*(_float(a, lineno) for a in args))
+    raise ConfigError(f"expected {_FORMS[cls]}, got {value!r}", lineno)
 
 
 def parse_config(text: str) -> Scenario:
@@ -194,8 +193,8 @@ def parse_config(text: str) -> Scenario:
         growth_rate=_float(mu_text, mu_line),
         protease_decay=_float(*model["gamma"]),
         protease_diffusion=_float(*model["diffusion"]),
-        taxis=_function(*model["taxis"]),
-        production=_function(*model["production"]))
+        taxis=_spec(FunctionSpec, *model["taxis"]),
+        production=_spec(FunctionSpec, *model["production"]))
     formulation, _ = take("model", "formulation", PRIMITIVE)
 
     grid_sec = data["grid"]
@@ -219,9 +218,9 @@ def parse_config(text: str) -> Scenario:
     jitter_text, jitter_line = take("initial", "jitter")
     scenario = Scenario(
         name=name, regime=regime, params=params, grid=grid, stepper=stepper,
-        initial_cells=_initial(*init["u0"]),
-        initial_matrix=_initial(*init["v0"]),
-        initial_protease=_initial(*init["m0"]),
+        initial_cells=_spec(InitialSpec, *init["u0"]),
+        initial_matrix=_spec(InitialSpec, *init["v0"]),
+        initial_protease=_spec(InitialSpec, *init["m0"]),
         seed=_int(seed_text, seed_line) if seed_text is not None else 0,
         jitter=_float(jitter_text, jitter_line) if jitter_text is not None else 0.0,
         flux_scheme=flux, formulation=formulation, source_text=text)
@@ -239,21 +238,12 @@ def output_dir(text: str) -> str | None:
 # rendering
 
 
-def _render_function(f: FunctionSpec) -> str:
-    if f.family == "tabulated":
-        pairs = ", ".join(f"{x!r}:{y!r}" for x, y in zip(f.nodes, f.table))
-        return f"tabulated({pairs})"
-    return f"{f.family}({', '.join(repr(c) for c in f.coeffs)})"
-
-
-def _render_initial(spec: InitialSpec) -> str:
-    if spec.kind == "constant":
-        return f"constant({spec.value!r})"
-    if spec.kind == "bump":
-        return (f"bump({spec.center!r}, {spec.width!r}, "
-                f"{spec.amplitude!r}, {spec.offset!r})")
-    pairs = ", ".join(f"{x!r}:{y!r}" for x, y in zip(spec.nodes, spec.table))
-    return f"tabulated({pairs})"
+def _render_spec(spec: FamilySpec) -> str:
+    if spec.table is not None:
+        args = (f"{x!r}:{y!r}" for x, y in zip(spec.nodes, spec.table))
+    else:
+        args = (repr(c) for c in spec.coeffs)
+    return f"{spec.family}({', '.join(args)})"
 
 
 def scenario_to_config(scenario: Scenario) -> str:
@@ -266,8 +256,8 @@ def scenario_to_config(scenario: Scenario) -> str:
         f"mu = {p.growth_rate!r}",
         f"gamma = {p.protease_decay!r}",
         f"diffusion = {p.protease_diffusion!r}",
-        f"taxis = {_render_function(p.taxis)}",
-        f"production = {_render_function(p.production)}",
+        f"taxis = {_render_spec(p.taxis)}",
+        f"production = {_render_spec(p.production)}",
         f"formulation = {scenario.formulation}",
         "",
         "[grid]",
@@ -283,9 +273,9 @@ def scenario_to_config(scenario: Scenario) -> str:
         f"flux = {scenario.flux_scheme}",
         "",
         "[initial]",
-        f"u0 = {_render_initial(scenario.initial_cells)}",
-        f"v0 = {_render_initial(scenario.initial_matrix)}",
-        f"m0 = {_render_initial(scenario.initial_protease)}",
+        f"u0 = {_render_spec(scenario.initial_cells)}",
+        f"v0 = {_render_spec(scenario.initial_matrix)}",
+        f"m0 = {_render_spec(scenario.initial_protease)}",
         f"seed = {scenario.seed}",
         f"jitter = {scenario.jitter!r}",
     ]

@@ -29,6 +29,7 @@ from .analysis import (
     steady_residual,
 )
 from .model import (
+    FamilySpec,
     FunctionSpec,
     Grid,
     ModelParams,
@@ -66,61 +67,45 @@ MAX_STEPS = 10_000_000
 # initial-condition recipes
 
 
-@dataclass(frozen=True)
-class InitialSpec:
+class InitialSpec(FamilySpec):
     """Recipe for one initial field: constant, gaussian bump, or table.
 
-    ``bump`` evaluates ``offset + amplitude * exp(-r^2 / (2 width^2))``
-    with ``r`` the distance to ``center`` (the same center coordinate
-    on every axis).  ``tabulated`` interpolates piecewise-linearly
-    along the first axis and is constant across the others.
+    ``constant`` holds ``(value,)``.  ``bump`` holds ``(center, width,
+    amplitude, offset)`` and evaluates ``offset + amplitude *
+    exp(-r^2 / (2 width^2))`` with ``r`` the distance to ``center`` (the
+    same center coordinate on every axis); its width must be positive.
+    ``tabulated`` interpolates piecewise-linearly along the first axis
+    and is constant across the others.
     """
 
-    kind: str
-    value: float = 0.0
-    center: float = 0.5
-    width: float = 0.1
-    amplitude: float = 1.0
-    offset: float = 0.0
-    nodes: tuple[float, ...] | None = None
-    table: tuple[float, ...] | None = None
+    ARITY = {"constant": 1, "bump": 4, "tabulated": None}
+    KIND = "initial kind"
 
     def __post_init__(self):
-        if self.kind not in ("constant", "bump", "tabulated"):
-            raise ValidationError(f"unknown initial kind {self.kind!r}")
-        if self.kind == "bump" and not (math.isfinite(self.width) and self.width > 0):
-            raise ValidationError(f"bump width must be positive, got {self.width!r}")
-        if self.kind == "tabulated":
-            if self.nodes is None or self.table is None:
-                raise ValidationError("tabulated initial needs nodes and table")
-            if len(self.nodes) != len(self.table) or len(self.nodes) < 2:
-                raise ValidationError("tabulated initial needs >= 2 matched nodes")
-            if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
-                raise ValidationError("tabulated nodes must strictly increase")
+        super().__post_init__()
+        if self.family == "bump":
+            width = self.coeffs[1]
+            if not (math.isfinite(width) and width > 0):
+                raise ValidationError(f"bump width must be positive, got {width!r}")
 
     @classmethod
     def constant(cls, value: float) -> "InitialSpec":
-        return cls("constant", value=float(value))
+        return cls("constant", (value,))
 
     @classmethod
     def bump(cls, center: float, width: float, amplitude: float,
              offset: float = 0.0) -> "InitialSpec":
-        return cls("bump", center=float(center), width=float(width),
-                   amplitude=float(amplitude), offset=float(offset))
-
-    @classmethod
-    def tabulated(cls, nodes, table) -> "InitialSpec":
-        return cls("tabulated", nodes=tuple(float(x) for x in nodes),
-                   table=tuple(float(y) for y in table))
+        return cls("bump", (center, width, amplitude, offset))
 
     def evaluate(self, grid: Grid) -> np.ndarray:
-        if self.kind == "constant":
-            return np.full(grid.shape, self.value)
-        if self.kind == "bump":
+        if self.family == "constant":
+            return np.full(grid.shape, self.coeffs[0])
+        if self.family == "bump":
+            center, width, amplitude, offset = self.coeffs
             r2 = np.zeros(grid.shape)
             for x in grid.centers():
-                r2 = r2 + (x - self.center) ** 2
-            return self.offset + self.amplitude * np.exp(-r2 / (2 * self.width ** 2))
+                r2 = r2 + (x - center) ** 2
+            return offset + amplitude * np.exp(-r2 / (2 * width ** 2))
         profile = np.interp(grid.axis_centers(0), self.nodes, self.table)
         return np.broadcast_to(profile.reshape((-1,) + (1,) * (grid.dims - 1)),
                                grid.shape).copy()
@@ -138,7 +123,9 @@ class Scenario:
     coefficients are required to satisfy (checked by
     :func:`validate_scenario` before any stepping).  ``jitter`` adds
     seeded multiplicative noise ``1 + jitter*N(0,1)`` per cell to each
-    initial field, for robustness probes; presets use 0.
+    initial field, for robustness probes; presets use 0.  ``seed`` must
+    be an integer ``>= 0``, as numpy's generator needs, whether or not
+    there is jitter to seed.
     """
 
     name: str
@@ -168,6 +155,8 @@ class Scenario:
                 f"got {self.formulation!r}")
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter!r}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         for fname in ("initial_cells", "initial_matrix", "initial_protease"):
             if not isinstance(getattr(self, fname), InitialSpec):
                 raise ValidationError(f"{fname} must be an InitialSpec")
@@ -213,7 +202,7 @@ def validate_scenario(scenario: Scenario) -> tuple[ScalarField, ScalarField, Sca
     if regime == "theorem_bound3":
         if not params.growth_rate > 0:
             raise ValidationError("mu must be positive for regime theorem_bound3")
-        if g.positive_floor is None or not g.positive_floor > 0:
+        if g.positive_floor is None:
             raise ValidationError(
                 "g must have a positive floor for regime theorem_bound3")
         if not (float(np.min(v0.values)) > 0 and float(np.max(v0.values)) < 1):

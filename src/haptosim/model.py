@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -24,17 +24,13 @@ __all__ = [
     "Grid",
     "build_grid",
     "ScalarField",
+    "FamilySpec",
     "FunctionSpec",
     "ModelParams",
     "SimState",
     "initial_state",
     "taxis_weight",
 ]
-
-# probe lattice for coefficient validation: [0, PROBE_VMAX] sampled densely
-PROBE_VMAX = 10.0
-PROBE_POINTS = 257
-
 
 class ValidationError(ValueError):
     """Raised when grid, field, coefficient, or parameter data is invalid."""
@@ -169,11 +165,63 @@ class ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# coefficient functions of the matrix density
+# families of functions, defined by their numbers
+
+
+def _check_table(nodes: tuple[float, ...], table: tuple[float, ...]) -> None:
+    """A table must be finite, matched, at least 2 long, and strictly increasing in x."""
+    if len(nodes) != len(table) or len(nodes) < 2:
+        raise ValidationError("tabulated nodes and table must match, length >= 2")
+    if not all(map(math.isfinite, nodes + table)):
+        raise ValidationError(
+            f"tabulated nodes and table must be finite, got nodes {nodes} "
+            f"and table {table}")
+    if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise ValidationError("tabulated nodes must be strictly increasing")
 
 
 @dataclass(frozen=True)
-class FunctionSpec:
+class FamilySpec:
+    """A member of a named family, held as the numbers that define it.
+
+    Subclasses map each family to its number of coefficients in
+    ``ARITY``, or to None for ``tabulated``, which holds ``nodes`` and
+    ``table`` instead.  Each family has a classmethod of its name that
+    takes those numbers.  Every other property is derived from the four
+    fields, which are all that equality compares.
+    """
+
+    family: str
+    coeffs: tuple[float, ...] = ()
+    nodes: tuple[float, ...] | None = None
+    table: tuple[float, ...] | None = None
+
+    ARITY: ClassVar[dict[str, int | None]] = {}
+    KIND: ClassVar[str] = "family"  # names the spec type in errors
+
+    def __post_init__(self):
+        if self.family not in self.ARITY:
+            raise ValidationError(f"unknown {self.KIND} {self.family!r}")
+        for name in ("coeffs", "nodes", "table"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, tuple(float(x) for x in value))
+        arity = self.ARITY[self.family]
+        if arity is None:
+            if self.coeffs or self.nodes is None or self.table is None:
+                raise ValidationError(
+                    "tabulated needs nodes and table, and no coefficients")
+            _check_table(self.nodes, self.table)
+        elif len(self.coeffs) != arity or (self.nodes, self.table) != (None, None):
+            raise ValidationError(
+                f"{self.KIND} {self.family!r} takes {arity} coefficients and no table")
+
+    @classmethod
+    def tabulated(cls, nodes: Sequence[float], table: Sequence[float]) -> FamilySpec:
+        return cls("tabulated", (), nodes, table)
+
+
+class FunctionSpec(FamilySpec):
     """A validated scalar function of the matrix density ``v >= 0``.
 
     Four families are supported; arguments below ``v`` are fixed
@@ -189,119 +237,79 @@ class FunctionSpec:
 
     Evaluation clamps negative inputs to zero, so fields that dip to
     tiny negative values by roundoff stay in the validated domain.
-    Construction checks nonnegativity on a probe lattice over
-    ``[0, 10]``, computes Lipschitz constants in closed form, and
-    derives ``positive_floor`` (a global lower bound, when one exists
-    for the family) and ``vanishes_at_zero``.
+    Construction requires finite coefficients, nodes ``>= 0``, and a
+    function that is nonnegative for every ``v >= 0``: its infimum
+    there has a closed form per family, so the check is exact.
+    ``positive_floor``, ``vanishes_at_zero`` and ``lipschitz_value``
+    are derived from the coefficients.
     """
 
-    family: str
-    coeffs: tuple[float, ...] = ()
-    nodes: tuple[float, ...] | None = None
-    table: tuple[float, ...] | None = None
-    positive_floor: float | None = None
-    vanishes_at_zero: bool = False
-    lipschitz_value: float = field(init=False, default=0.0)
-    lipschitz_derivative: float = field(init=False, default=0.0)
+    ARITY = {"constant": 1, "affine": 2, "saturating": 2, "tabulated": None}
+    KIND = "function family"
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def constant(cls, c: float) -> "FunctionSpec":
-        return cls("constant", (float(c),))
+        return cls("constant", (c,))
 
     @classmethod
     def affine(cls, a: float, b: float) -> "FunctionSpec":
-        return cls("affine", (float(a), float(b)))
+        return cls("affine", (a, b))
 
     @classmethod
     def saturating(cls, cap: float, slope: float) -> "FunctionSpec":
-        return cls("saturating", (float(cap), float(slope)))
+        return cls("saturating", (cap, slope))
 
-    @classmethod
-    def tabulated(cls, nodes: Sequence[float], table: Sequence[float]) -> "FunctionSpec":
-        return cls("tabulated", (), tuple(float(x) for x in nodes),
-                   tuple(float(y) for y in table))
-
-    # -- validation ----------------------------------------------------
+    # -- validation and derived values --------------------------------
 
     def __post_init__(self):
-        if self.family not in ("constant", "affine", "saturating", "tabulated"):
-            raise ValidationError(f"unknown function family {self.family!r}")
-        if self.family == "tabulated":
-            if not self.nodes or self.table is None:
-                raise ValidationError("tabulated family needs nodes and table")
-            if len(self.nodes) != len(self.table) or len(self.nodes) < 2:
-                raise ValidationError("tabulated nodes and table must match, length >= 2")
-            dx = np.diff(self.nodes)
-            if np.any(dx <= 0):
-                raise ValidationError("tabulated nodes must be strictly increasing")
-            if self.nodes[0] < 0:
-                raise ValidationError("tabulated nodes must be >= 0")
-            if any(not math.isfinite(y) or y < 0 for y in self.table):
-                raise ValidationError("tabulated table values must be finite and >= 0")
-        else:
-            expected = {"constant": 1, "affine": 2, "saturating": 2}[self.family]
-            if len(self.coeffs) != expected:
-                raise ValidationError(
-                    f"family {self.family!r} takes {expected} coefficients")
-            if any(not math.isfinite(c) for c in self.coeffs):
-                raise ValidationError("coefficients must be finite")
-
-        lip_val, lip_der = self._lipschitz()
-        object.__setattr__(self, "lipschitz_value", lip_val)
-        object.__setattr__(self, "lipschitz_derivative", lip_der)
-
-        probe = np.linspace(0.0, PROBE_VMAX, PROBE_POINTS)
-        sampled = self(probe)
-        if np.any(sampled < 0):
-            bad = float(probe[np.argmin(sampled)])
+        super().__post_init__()
+        if not all(map(math.isfinite, self.coeffs)):
+            raise ValidationError("coefficients must be finite")
+        if self.nodes is not None and self.nodes[0] < 0:
+            raise ValidationError("tabulated nodes must be >= 0")
+        low = self._infimum()
+        if low < 0:
             raise ValidationError(
-                f"{self.family} function is negative near v={bad:g}")
+                f"{self.family} function has infimum {low:g} over v >= 0; "
+                f"it must be >= 0")
 
-        if self.positive_floor is None:
-            object.__setattr__(self, "positive_floor", self._derived_floor())
-        else:
-            floor = float(self.positive_floor)
-            if not (floor > 0 and math.isfinite(floor)):
-                raise ValidationError("positive_floor must be positive and finite")
-            if np.min(sampled) < floor:
-                raise ValidationError(
-                    f"positive_floor={floor:g} exceeds sampled minimum "
-                    f"{np.min(sampled):g}")
-            object.__setattr__(self, "positive_floor", floor)
-
-        if self.vanishes_at_zero and self(0.0) != 0.0:
-            raise ValidationError("vanishes_at_zero set but f(0) != 0")
-        if not self.vanishes_at_zero and self(0.0) == 0.0:
-            object.__setattr__(self, "vanishes_at_zero", True)
-
-    def _lipschitz(self) -> tuple[float, float]:
+    def _infimum(self) -> float:
+        """Exact infimum over ``v >= 0``."""
         if self.family == "constant":
-            return 0.0, 0.0
+            return self.coeffs[0]
         if self.family == "affine":
-            return abs(self.coeffs[1]), 0.0
-        if self.family == "saturating":
-            s = abs(self.coeffs[1])
-            # derivative s/(1+v)^2 peaks at v=0; second derivative peaks there too
-            return s, 2.0 * s
-        slopes = np.diff(self.table) / np.diff(self.nodes)
-        lip_der = 0.0 if slopes.size <= 1 or np.ptp(slopes) == 0 else math.inf
-        return float(np.max(np.abs(slopes))) if slopes.size else 0.0, lip_der
-
-    def _derived_floor(self) -> float | None:
-        # only report a floor that holds for every v >= 0, not just the probe
-        if self.family == "constant":
-            low = self.coeffs[0]
-        elif self.family == "affine":
             a, b = self.coeffs
-            low = a if b >= 0 else -math.inf
-        elif self.family == "saturating":
-            cap, s = self.coeffs
-            low = cap if s >= 0 else cap + s
-        else:
-            low = min(self.table)
+            return a if b >= 0 else -math.inf
+        if self.family == "saturating":
+            cap, s = self.coeffs  # v / (1 + v) sweeps [0, 1)
+            return cap if s >= 0 else cap + s
+        return min(self.table)  # constant extrapolation past both ends
+
+    # computed once per spec: the values land in the instance dict and stay
+    # out of eq and hash
+
+    @functools.cached_property
+    def positive_floor(self) -> float | None:
+        """The infimum over ``v >= 0`` when it is above 0, else None."""
+        low = self._infimum()
         return low if low > 0 else None
+
+    @functools.cached_property
+    def vanishes_at_zero(self) -> bool:
+        return self(0.0) == 0.0
+
+    @functools.cached_property
+    def lipschitz_value(self) -> float:
+        """Lipschitz constant over ``v >= 0``, in closed form."""
+        if self.family == "constant":
+            return 0.0
+        if self.family in ("affine", "saturating"):
+            # the saturating derivative s/(1+v)^2 peaks at v=0
+            return abs(self.coeffs[1])
+        slopes = np.diff(self.table) / np.diff(self.nodes)
+        return float(np.max(np.abs(slopes)))
 
     # -- evaluation ----------------------------------------------------
 

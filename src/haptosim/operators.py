@@ -13,14 +13,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Grid, ScalarField, FunctionSpec, ValidationError
 
 __all__ = [
-    "VectorField",
     "gradient_faces",
     "laplacian_neumann",
     "drift_velocity",
@@ -81,22 +79,6 @@ def drift_velocity(v: ScalarField, chi: FunctionSpec, axis: int) -> np.ndarray:
     return chi(_neighbour_mean(v.values, axis)) * dv
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Face-staggered vector data: component ``d`` sits on faces normal to axis ``d``."""
-
-    grid: Grid
-    components: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.grid.dims:
-            raise ValidationError("need one component per axis")
-        for d, (comp, want) in enumerate(zip(self.components, self.grid.face_shapes)):
-            if comp.shape != want:
-                raise ValidationError(
-                    f"component {d} has shape {comp.shape}, expected {want}")
-
-
 def _face_diffs(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     """(f_right - f_left)/h on interior faces; wall faces zero."""
     out = np.zeros(grid.face_shapes[axis])
@@ -104,10 +86,12 @@ def _face_diffs(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
     return out
 
 
-def gradient_faces(f: ScalarField) -> VectorField:
-    """Two-point face gradient of a cell field; exact for linear profiles."""
-    return VectorField(f.grid, tuple(_face_diffs(f.values, f.grid, d)
-                                     for d in range(f.grid.dims)))
+def gradient_faces(f: ScalarField) -> tuple[np.ndarray, ...]:
+    """Two-point face gradient of a cell field; exact for linear profiles.
+
+    Component ``d`` sits on the faces normal to axis ``d``.
+    """
+    return tuple(_face_diffs(f.values, f.grid, d) for d in range(f.grid.dims))
 
 
 def _face_divergence(grid: Grid, fluxes: list[np.ndarray]) -> np.ndarray:

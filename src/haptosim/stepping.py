@@ -139,7 +139,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
 def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
     """Face gradients averaged back to centers, one array per axis."""
     return [_neighbour_mean(comp, d)
-            for d, comp in enumerate(gradient_faces(f).components)]
+            for d, comp in enumerate(gradient_faces(f))]
 
 
 def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:

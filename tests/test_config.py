@@ -150,7 +150,7 @@ def test_initial_grammar_all_kinds():
         initial__u0="bump(0.5, 0.1, 0.2)",
         initial__v0="tabulated(0.0:0.1, 1.0:0.9)"))
     assert s.initial_cells == InitialSpec.bump(0.5, 0.1, 0.2)   # offset 0
-    assert s.initial_cells.offset == 0.0
+    assert s.initial_cells.coeffs[3] == 0.0
     assert s.initial_matrix == InitialSpec.tabulated([0.0, 1.0], [0.1, 0.9])
 
 
@@ -313,6 +313,50 @@ def test_round_trip_is_exact_for_arbitrary_floats(mu, gamma, diffusion, chi0,
         initial_cells=InitialSpec.bump(center, width, amplitude, 0.5),
         initial_matrix=InitialSpec.constant(0.4),
         initial_protease=InitialSpec.constant(0.1))
+    parsed = parse_config(scenario_to_config(scenario))
+    assert replace(parsed, source_text=None) == scenario
+
+
+_NUMBER = st.floats(-1e6, 1e6)
+_NONNEG = st.floats(0.0, 1e6)
+
+
+def _tables(xs):
+    """(nodes, table) with strictly increasing nodes drawn from ``xs``."""
+    pairs = st.lists(st.tuples(xs, _NONNEG), min_size=2, max_size=6,
+                     unique_by=lambda p: p[0])
+    return pairs.map(lambda ps: tuple(zip(*sorted(ps))))
+
+
+# every family of both spec types, over numbers the validators accept
+SPEC_STRATEGIES = {
+    "function-constant": st.builds(FunctionSpec.constant, _NONNEG),
+    "function-affine": st.builds(FunctionSpec.affine, _NONNEG, _NONNEG),
+    "function-saturating": st.tuples(_NONNEG, _NUMBER).filter(
+        lambda cs: cs[0] + cs[1] >= 0).map(lambda cs: FunctionSpec.saturating(*cs)),
+    "function-tabulated": _tables(_NONNEG).map(lambda nt: FunctionSpec.tabulated(*nt)),
+    "initial-constant": st.builds(InitialSpec.constant, _NONNEG),
+    "initial-bump": st.builds(InitialSpec.bump, _NUMBER, st.floats(1e-3, 1e6),
+                              _NONNEG, _NONNEG),
+    "initial-tabulated": _tables(_NUMBER).map(lambda nt: InitialSpec.tabulated(*nt)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPEC_STRATEGIES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_round_trip_is_exact_for_every_family(kind, data):
+    spec = data.draw(SPEC_STRATEGIES[kind])
+    functions = [spec] * 2 if isinstance(spec, FunctionSpec) else [
+        FunctionSpec.constant(0.5), FunctionSpec.affine(1.0, 1.0)]
+    initials = [spec] * 3 if isinstance(spec, InitialSpec) else [
+        InitialSpec.constant(1.0)] * 3
+    scenario = Scenario(
+        name="fuzz", regime="custom",
+        params=ModelParams(1.0, 1.0, 1.0, *functions),
+        grid=build_grid(8, 1.0), stepper=StepperConfig(0.5, 0.05, 0.1),
+        initial_cells=initials[0], initial_matrix=initials[1],
+        initial_protease=initials[2])
     parsed = parse_config(scenario_to_config(scenario))
     assert replace(parsed, source_text=None) == scenario
 
@@ -672,6 +716,38 @@ def test_cli_reports_non_finite_initial_data(tmp_path, capsys, v0):
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "v0 must be finite everywhere" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["model__production", "model__taxis"])
+def test_cli_reports_non_finite_table(tmp_path, capsys, key):
+    # this used to parse, then fail in the first step as a solver blow-up
+    cfg = write_config(tmp_path, config_text(**{key: "tabulated(nan:1.0, 1.0:2.0)"}))
+    assert main(["verify", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: tabulated nodes and table must be finite, "
+        "got nodes (nan, 1.0) and table (1.0, 2.0)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_production_negative_past_the_old_probe_range(tmp_path, capsys):
+    # g = 1 - 0.05 v is nonnegative on [0, 10] only; g(30) < 0, and with
+    # v0 = 30 this used to run and fail bound_cell_lower_bound, exit 2
+    cfg = write_config(tmp_path, config_text(
+        model__production="affine(1.0, -0.05)", initial__v0="constant(30)"))
+    assert main(["verify", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: affine function has infimum -inf over v >= 0; it must be >= 0\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jitter", ["0", "0.1"])
+def test_cli_reports_negative_seed(tmp_path, capsys, jitter):
+    # with jitter this ended in numpy's traceback; without, it was accepted
+    cfg = write_config(tmp_path, config_text(initial__seed="-1",
+                                             initial__jitter=jitter))
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
     assert not (tmp_path / "out").exists()
 
 

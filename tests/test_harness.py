@@ -103,6 +103,27 @@ def test_initial_validation():
         InitialSpec.tabulated([0.0, 0.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("nodes, table", [
+    ([math.nan, 1.0], [0.0, 1.0]),
+    ([0.0, 1.0], [math.inf, 1.0]),
+], ids=["nan-node", "inf-value"])
+def test_initial_rejects_non_finite_table(nodes, table):
+    with pytest.raises(ValidationError, match="tabulated nodes and table must be finite"):
+        InitialSpec.tabulated(nodes, table)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("constant", (0.0,), (0.0, 1.0), (1.0, 1.0)), "takes 1 coefficients and no table"),
+    (("constant", (0.0, -3.0)), "takes 1 coefficients"),
+    (("bump", (0.5, 0.1, 1.0)), "takes 4 coefficients"),
+    (("bump", (0.5, -3.0, 1.0, 0.0)), "bump width must be positive, got -3.0"),
+    (("wedge", ()), "unknown initial kind 'wedge'"),
+], ids=["stray-table", "extra-coeff", "short-bump", "width", "kind"])
+def test_initial_fields_hold_exactly_the_kind_numbers(args, message):
+    with pytest.raises(ValidationError, match=message):
+        InitialSpec(*args)
+
+
 # ---------------------------------------------------------------------------
 # scenario validation
 
@@ -125,6 +146,19 @@ def test_scenario_rejects_bad_formulation():
 def test_scenario_rejects_negative_jitter():
     with pytest.raises(ValidationError, match="jitter"):
         quick_scenario(jitter=-0.1)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.1])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_scenario_rejects_seed_that_is_not_a_natural_number(seed, jitter):
+    # numpy's generator raises on a negative seed; without jitter it was
+    # silently accepted
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        quick_scenario(seed=seed, jitter=jitter)
+
+
+def test_scenario_accepts_numpy_integer_seed():
+    assert quick_scenario(seed=np.int64(5), jitter=0.1).seed == 5
 
 
 def test_validate_rejects_negative_initial_field():

@@ -104,13 +104,74 @@ class TestFunctionSpec:
         with pytest.raises(ValidationError):
             FunctionSpec.tabulated([0.0, 1.0, 0.5], [1.0, 1.0, 1.0])
 
-    def test_rejects_bad_floor(self):
-        with pytest.raises(ValidationError):
-            FunctionSpec("affine", (0.5, 1.0), positive_floor=0.7)
+    @pytest.mark.parametrize("spec, infimum", [
+        (("affine", 1.0, -0.05), "-inf"),      # g(30) = -0.5
+        (("saturating", 1.0, -1.05), "-0.05"),  # 0.045 at v = 10
+        (("tabulated", [0.0, 1.0], [1.0, -0.5]), "-0.5"),
+    ], ids=["affine", "saturating", "tabulated"])
+    def test_rejects_function_negative_anywhere_on_half_line(self, spec, infimum):
+        # each is nonnegative on [0, 10] but not on all of v >= 0
+        family, *args = spec
+        with pytest.raises(ValidationError,
+                           match=f"{family} function has infimum {infimum} over v >= 0"):
+            getattr(FunctionSpec, family)(*args)
 
-    def test_rejects_false_vanishing_claim(self):
-        with pytest.raises(ValidationError):
-            FunctionSpec("affine", (1.0, 1.0), vanishes_at_zero=True)
+    def test_accepts_function_whose_infimum_is_zero(self):
+        f = FunctionSpec.saturating(1.0, -1.0)
+        assert f(1e12) > 0 and f.positive_floor is None
+
+    @pytest.mark.parametrize("nodes, table", [
+        ([math.nan, 1.0], [1.0, 2.0]),
+        ([0.0, math.inf], [1.0, 2.0]),
+        ([0.0, 1.0], [1.0, math.nan]),
+    ], ids=["nan-node", "inf-node", "nan-value"])
+    def test_rejects_non_finite_table(self, nodes, table):
+        with pytest.raises(ValidationError,
+                           match="tabulated nodes and table must be finite"):
+            FunctionSpec.tabulated(nodes, table)
+
+    def test_rejects_negative_nodes(self):
+        with pytest.raises(ValidationError, match="nodes must be >= 0"):
+            FunctionSpec.tabulated([-1.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("args, message", [
+        (("affine", (1.0,)), "takes 2 coefficients and no table"),
+        (("constant", (1.0,), (0.0, 1.0), (1.0, 1.0)), "takes 1 coefficients"),
+        (("tabulated", (1.0,), (0.0, 1.0), (1.0, 1.0)), "no coefficients"),
+        (("tabulated", (), (0.0, 1.0)), "needs nodes and table"),
+        (("cubic", (1.0,)), "unknown function family 'cubic'"),
+    ], ids=["arity", "stray-table", "stray-coeffs", "no-table", "family"])
+    def test_fields_hold_exactly_the_family_numbers(self, args, message):
+        with pytest.raises(ValidationError, match=message):
+            FunctionSpec(*args)
+
+    @pytest.mark.parametrize("keyword", ["positive_floor", "vanishes_at_zero",
+                                         "lipschitz_value"])
+    def test_derived_values_are_not_init_arguments(self, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            FunctionSpec("affine", (1.0, -0.05), **{keyword: 0.4})
+
+    def test_equality_reads_only_the_defining_numbers(self):
+        f = FunctionSpec.affine(1.0, 2.0)
+        g = FunctionSpec("affine", (1, 2))
+        assert f.lipschitz_value == 2.0  # cache one derived value on f only
+        assert f == g and hash(f) == hash(g) and g.coeffs == (1.0, 2.0)
+
+    @given(st.sampled_from(["constant", "affine", "saturating", "tabulated"]),
+           st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+           st.floats(0.0, 1e9))
+    @settings(max_examples=200, deadline=None)
+    def test_accepted_functions_are_nonnegative_everywhere(self, family, nums, v):
+        try:
+            if family == "tabulated":
+                f = FunctionSpec.tabulated([0.0, 1.0, 2.0], nums)
+            else:
+                f = FunctionSpec(family, nums[:FunctionSpec.ARITY[family]])
+        except ValidationError:
+            return
+        assert f(v) >= 0.0 and f(0.0) >= 0.0
+        if f.positive_floor is not None:
+            assert f(v) >= f.positive_floor * (1 - 1e-15)
 
     def test_derived_flags(self):
         g = FunctionSpec.affine(1.0, 1.0)
@@ -124,10 +185,8 @@ class TestFunctionSpec:
         assert FunctionSpec.constant(3.0).lipschitz_value == 0.0
         assert FunctionSpec.affine(1.0, 2.0).lipschitz_value == 2.0
         assert FunctionSpec.saturating(0.0, 1.5).lipschitz_value == 1.5
-        assert FunctionSpec.saturating(0.0, 1.5).lipschitz_derivative == 3.0
         tab = FunctionSpec.tabulated([0.0, 0.5, 1.0], [0.0, 2.0, 2.5])
         assert tab.lipschitz_value == 4.0
-        assert tab.lipschitz_derivative == math.inf
 
     @given(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
     @settings(max_examples=50, deadline=None)

@@ -72,25 +72,25 @@ class TestGradient:
     def test_constant_gradient_zero(self):
         g = build_grid((4, 4), 1.0)
         grad = gradient_faces(ScalarField.full(g, 2.0))
-        for comp in grad.components:
+        for comp in grad:
             assert np.array_equal(comp, np.zeros_like(comp))
 
     def test_hand_values_1d(self):
         g = build_grid(3, 1.5)  # h = 0.5
         grad = gradient_faces(ScalarField(g, np.array([1.0, 2.0, 4.0])))
-        assert np.array_equal(grad.components[0], np.array([0.0, 2.0, 4.0, 0.0]))
+        assert np.array_equal(grad[0], np.array([0.0, 2.0, 4.0, 0.0]))
 
     def test_exact_on_linear_interior(self):
         g = build_grid(16, 2.0)
         x = g.axis_centers(0)
         grad = gradient_faces(ScalarField(g, 3.0 * x + 1.0))
-        assert np.allclose(grad.components[0][1:-1], 3.0, rtol=1e-14)
+        assert np.allclose(grad[0][1:-1], 3.0, rtol=1e-14)
 
     def test_face_shapes(self):
         g = build_grid((3, 5), 1.0)
         grad = gradient_faces(ScalarField.zeros(g))
-        assert grad.components[0].shape == (4, 5)
-        assert grad.components[1].shape == (3, 6)
+        assert grad[0].shape == (4, 5)
+        assert grad[1].shape == (3, 6)
 
 
 class TestHaptotaxisDivergence:

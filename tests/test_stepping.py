@@ -291,7 +291,7 @@ def _split_step(state, params, dt, flux_scheme):
         grad_v, grad_w = gradient_faces(v), gradient_faces(cells)
         dot = np.zeros(state.grid.shape)
         for d in range(state.grid.dims):
-            dot += _cells_from_faces(grad_v.components[d] * grad_w.components[d], d)
+            dot += _cells_from_faces(grad_v[d] * grad_w[d], d)
         chi_v = chi(v.values)
         explicit = (chi_v * dot + mu * w * (1.0 - u - v.values)
                     + chi_v * w * v.values * m.values)
