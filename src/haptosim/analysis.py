@@ -1,13 +1,14 @@
-"""Norms, a-priori bound monitors, decay fits, and consistency gaps.
+"""Norms, claims, a-priori bound monitors, decay fits, and consistency gaps.
 
-Everything here observes a finished (or in-progress) simulation and
-reports; nothing mutates or aborts a run.  The bound monitors encode
-the quantities the invasion system is known to control: total cell
-mass, the sup of the matrix density, protease mass against an
-exponentially relaxing envelope, the weighted cell mass, cellwise
-nonnegativity, and the lower barriers on cells and protease.  Each
-monitor compares one observed scalar against one theoretical bound so
-reports stay mechanically checkable.
+Everything here observes a finished simulation and reports; nothing
+mutates or aborts a run.  The bound monitors encode the quantities the
+invasion system is known to control: total cell mass, the sup of the
+matrix density, protease mass against an exponentially relaxing
+envelope, the weighted cell mass, cellwise nonnegativity, and the lower
+barriers on cells and protease.  They read no state: each folds the
+monitor series that :func:`~.harness.run` samples once per record into
+one observed extreme, and compares it against one theoretical bound as
+a :class:`Claim`, so reports stay mechanically checkable.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import numpy as np
 from .model import (
     PRIMITIVE,
     WEIGHTED,
+    Grid,
     ModelParams,
     ScalarField,
     SimState,
     ValidationError,
-    taxis_weight,
 )
 from .operators import (
     _MID,
@@ -33,13 +34,13 @@ from .operators import (
     haptotaxis_divergence,
     laplacian_neumann,
 )
-from .stepping import _cell_gradient, as_primitive, from_weighted_form
+from .stepping import _cell_gradient, from_weighted_form
 
 __all__ = [
     "TimeSeries",
     "DecayFit",
-    "BoundRecord",
-    "BoundsReport",
+    "Claim",
+    "TheoremReport",
     "SteadyClass",
     "InsufficientDataError",
     "NotSteadyError",
@@ -160,122 +161,95 @@ def decay_fit(series: TimeSeries, tail_fraction: float = 0.5) -> DecayFit:
                     window=(float(t[0]), float(t[-1])), n_samples=int(t.size))
 
 
-def sigma_estimate(history: list[SimState], t0: float) -> float:
-    """Smallest cellwise protease minimum over states sampled from t0 on."""
-    lows = [float(np.min(s.protease.values)) for s in history if s.t >= t0]
+def sigma_estimate(series: dict[str, TimeSeries], t0: float) -> float:
+    """Smallest cellwise protease minimum over the samples from t0 on."""
+    protease_min = series["protease_min"]
+    lows = protease_min.values[protease_min.t >= t0].tolist()
     if not lows:
-        raise InsufficientDataError(f"no recorded states at or after t0={t0:g}")
+        raise InsufficientDataError(f"no samples at or after t0={t0:g}")
     return min(lows)
 
 
 # ---------------------------------------------------------------------------
-# a-priori bound monitors
+# claims and the a-priori bound monitors
 
 
 @dataclass(frozen=True)
-class BoundRecord:
-    """One monitored inequality: ``observed_max <= theoretical_bound``."""
+class Claim:
+    """One verifiable statement with its measured value and threshold."""
 
-    name: str
-    theoretical_bound: float
-    observed_max: float
-
-    @property
-    def satisfied(self) -> bool:
-        return self.observed_max <= self.theoretical_bound * (1 + BOUND_SLACK)
-
-    @property
-    def margin(self) -> float:
-        return self.theoretical_bound - self.observed_max
+    claim_id: str
+    description: str
+    verdict: str  # "pass" | "fail" | "not_applicable"
+    threshold: float
+    measured: float
+    fitted: DecayFit | None = None
 
 
 @dataclass(frozen=True)
-class BoundsReport:
-    records: tuple[BoundRecord, ...]
+class TheoremReport:
+    regime: str
+    claims: tuple[Claim, ...]
 
     @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.records)
+    def all_pass(self) -> bool:
+        return all(c.verdict != "fail" for c in self.claims)
 
-    def record(self, name: str) -> BoundRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+    def claim(self, claim_id: str) -> Claim:
+        for c in self.claims:
+            if c.claim_id == claim_id:
+                return c
+        raise KeyError(claim_id)
 
 
-def bounds_report(history: list[SimState], params: ModelParams,
-                  initial: SimState) -> BoundsReport:
-    """Check every known a-priori bound along a sampled trajectory.
+def bounds_report(series: dict[str, TimeSeries], params: ModelParams,
+                  grid: Grid) -> list[Claim]:
+    """Check every known a-priori bound along a run's monitor series.
 
-    ``initial`` supplies the data the bounds are phrased in terms of
-    (initial masses, the sup of the starting matrix density).  The
-    protease lower barrier is only monitored when the production
-    function has a positive floor, and then over the final three
-    quarters of the sampled window (the barrier is eventual, so the
-    transient is excluded).
+    ``series`` holds the samples :func:`~.harness.run` records, and its
+    first sample is the data the bounds are phrased in terms of
+    (initial masses, the sup of the starting matrix density).  Each
+    bound becomes one ``bound_<name>`` claim that passes when the worst
+    observed value is at most the bound plus ``BOUND_SLACK`` times its
+    magnitude.  The protease lower barrier is only monitored when the
+    production function has a positive floor, and then over the final
+    three quarters of the sampled window (the barrier is eventual, so
+    the transient is excluded).
     """
-    if not history:
-        raise ValidationError("history must contain at least one state")
-    times = [s.t for s in history]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValidationError("history times must strictly increase")
-
-    grid = initial.grid
-    u0 = as_primitive(initial, params).cells
-    mass_u0 = norm(u0, 1)
-    sup_v0 = norm(initial.ecm, math.inf)
-    mass_m0 = norm(initial.protease, 1)
+    t = series["cell_mass"].t.tolist()
+    if not t:
+        raise ValidationError("series must hold at least one sample")
+    mass_u, sup_v, mass_m, mass_w, min_u, min_v, min_m = (
+        series[name].values.tolist() for name in (
+            "cell_mass", "matrix_sup", "protease_mass", "weighted_mass",
+            "cell_min", "matrix_min", "protease_min"))
     gamma = params.protease_decay
     g = params.production
-    mass_cap = max(grid.domain_volume, mass_u0)
-
-    max_mass_u = -math.inf
-    max_sup_v = -math.inf
-    max_m_excess = -math.inf
-    max_mass_w = -math.inf
-    worst_negative = -math.inf
-    min_u = math.inf
-    t_last = times[-1]
-    late_min_m = math.inf
-    for s in history:
-        z = taxis_weight(s.ecm, params.taxis).values
-        if s.formulation == PRIMITIVE:
-            u = s.cells
-            w = u.with_values(u.values * z)
-        else:
-            w = s.cells
-            u = w.with_values(w.values / z)
-        max_mass_u = max(max_mass_u, norm(u, 1))
-        max_sup_v = max(max_sup_v, norm(s.ecm, math.inf))
-        max_m_excess = max(
-            max_m_excess, norm(s.protease, 1) - mass_m0 * math.exp(-gamma * s.t))
-        max_mass_w = max(max_mass_w, norm(w, 1))
-        low = min(float(np.min(u.values)), float(np.min(s.ecm.values)),
-                  float(np.min(s.protease.values)))
-        worst_negative = max(worst_negative, -low)
-        min_u = min(min_u, float(np.min(u.values)))
-        if s.t >= 0.25 * t_last:
-            late_min_m = min(late_min_m, float(np.min(s.protease.values)))
+    mass_cap = max(grid.domain_volume, mass_u[0])
+    m_excess = [mass - mass_m[0] * math.exp(-gamma * tk)
+                for tk, mass in zip(t, mass_m)]
 
     # lower barrier on cells: conservative exponential depression of the
     # initial minimum by the total taxis weight across the matrix range
-    barrier = (min(1.0, float(np.min(u0.values)))
-               * math.exp(-params.taxis.antiderivative(sup_v0)))
+    barrier = min(1.0, min_u[0]) * math.exp(-params.taxis.antiderivative(sup_v[0]))
 
-    records = [
-        BoundRecord("cell_mass_l1", mass_cap, max_mass_u),
-        BoundRecord("matrix_sup", sup_v0, max_sup_v),
-        BoundRecord("protease_mass_l1",
-                    (g.lipschitz_value * sup_v0 + float(g(0.0))) * mass_cap / gamma,
-                    max_m_excess),
-        BoundRecord("weighted_mass_l1", mass_cap, max_mass_w),
-        BoundRecord("positivity", 1e-12, worst_negative),
-        BoundRecord("cell_lower_bound", -barrier, -min_u),
+    bounds = [
+        ("cell_mass_l1", mass_cap, max(mass_u)),
+        ("matrix_sup", sup_v[0], max(sup_v)),
+        ("protease_mass_l1",
+         (g.lipschitz_value * sup_v[0] + float(g(0.0))) * mass_cap / gamma,
+         max(m_excess)),
+        ("weighted_mass_l1", mass_cap, max(mass_w)),
+        ("positivity", 1e-12, max(-min(lows) for lows in zip(min_u, min_v, min_m))),
+        ("cell_lower_bound", -barrier, -min(min_u)),
     ]
     if g.positive_floor is not None:
-        records.append(BoundRecord("protease_lower_bound", 0.0, -late_min_m))
-    return BoundsReport(tuple(records))
+        bounds.append(("protease_lower_bound", 0.0,
+                       -sigma_estimate(series, 0.25 * t[-1])))
+    return [Claim("bound_" + name, f"a-priori bound: {name} stays within its envelope",
+                  "pass" if observed <= bound + BOUND_SLACK * abs(bound) else "fail",
+                  bound, observed)
+            for name, bound, observed in bounds]
 
 
 # ---------------------------------------------------------------------------

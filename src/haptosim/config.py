@@ -6,7 +6,8 @@ keys, duplicates, and malformed values are parse errors that cite the
 offending line, so a typo can never silently change which hypotheses a
 run claims to satisfy.  Semantic problems (negative coefficients,
 violated regime hypotheses) surface as validation errors from the
-model layer instead, with the violated requirement named.
+model layer instead, with the violated requirement named; those in a
+coefficient function or an initial field also cite the line and key.
 
 A parsed :class:`~.harness.Scenario` keeps the exact document text, so
 the ``config_echo`` artifact written next to run outputs reproduces
@@ -19,14 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .harness import (
-    Claim,
-    InitialSpec,
-    RunResult,
-    Scenario,
-    TheoremReport,
-    validate_scenario,
-)
+from .analysis import Claim, TheoremReport
+from .harness import InitialSpec, RunResult, Scenario, validate_scenario
 from .model import (
     FamilySpec,
     FunctionSpec,
@@ -154,21 +149,26 @@ _FORMS = {
 }
 
 
-def _spec(cls: type[FamilySpec], value: str, lineno: int) -> FamilySpec:
-    """Parse ``family(args)`` through the classmethod of that family.
+def _spec(cls: type[FamilySpec], key: str, value: str, lineno: int) -> FamilySpec:
+    """Parse the ``family(args)`` entry ``key`` through that family's classmethod.
 
     ``cls.ARITY`` gives the family's coefficient count, or None for a
     table of ``x:y`` pairs; trailing arguments that the classmethod
-    gives defaults may be left out.
+    gives defaults may be left out.  A ValidationError from the model
+    layer is raised again, as the same type, with the entry's line and
+    key in front.
     """
     family, args = _call_form(value, lineno)
     arity = cls.ARITY.get(family, 0)
-    if arity is None and args:
-        return cls.tabulated(*_pairs(args, lineno))
-    if arity:
-        build = getattr(cls, family)
-        if arity - len(build.__defaults__ or ()) <= len(args) <= arity:
-            return build(*(_float(a, lineno) for a in args))
+    try:
+        if arity is None and args:
+            return cls.tabulated(*_pairs(args, lineno))
+        if arity:
+            build = getattr(cls, family)
+            if arity - len(build.__defaults__ or ()) <= len(args) <= arity:
+                return build(*(_float(a, lineno) for a in args))
+    except ValidationError as exc:
+        raise ValidationError(f"line {lineno}: {key}: {exc}") from None
     raise ConfigError(f"expected {_FORMS[cls]}, got {value!r}", lineno)
 
 
@@ -193,8 +193,8 @@ def parse_config(text: str) -> Scenario:
         growth_rate=_float(mu_text, mu_line),
         protease_decay=_float(*model["gamma"]),
         protease_diffusion=_float(*model["diffusion"]),
-        taxis=_spec(FunctionSpec, *model["taxis"]),
-        production=_spec(FunctionSpec, *model["production"]))
+        taxis=_spec(FunctionSpec, "taxis", *model["taxis"]),
+        production=_spec(FunctionSpec, "production", *model["production"]))
     formulation, _ = take("model", "formulation", PRIMITIVE)
 
     grid_sec = data["grid"]
@@ -218,9 +218,9 @@ def parse_config(text: str) -> Scenario:
     jitter_text, jitter_line = take("initial", "jitter")
     scenario = Scenario(
         name=name, regime=regime, params=params, grid=grid, stepper=stepper,
-        initial_cells=_spec(InitialSpec, *init["u0"]),
-        initial_matrix=_spec(InitialSpec, *init["v0"]),
-        initial_protease=_spec(InitialSpec, *init["m0"]),
+        initial_cells=_spec(InitialSpec, "u0", *init["u0"]),
+        initial_matrix=_spec(InitialSpec, "v0", *init["v0"]),
+        initial_protease=_spec(InitialSpec, "m0", *init["m0"]),
         seed=_int(seed_text, seed_line) if seed_text is not None else 0,
         jitter=_float(jitter_text, jitter_line) if jitter_text is not None else 0.0,
         flux_scheme=flux, formulation=formulation, source_text=text)

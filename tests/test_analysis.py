@@ -19,6 +19,7 @@ from haptosim.analysis import (
     InsufficientDataError,
     NotSteadyError,
     ScheduleMismatchError,
+    TheoremReport,
     TimeSeries,
     bounds_report,
     decay_fit,
@@ -29,6 +30,7 @@ from haptosim.analysis import (
     steady_classify,
     steady_residual,
 )
+from haptosim.harness import SERIES_NAMES, _series_samples
 from haptosim.stepping import to_weighted_form
 
 
@@ -195,46 +197,62 @@ def test_decay_fit_recovers_synthetic_rates(rate, amplitude):
 # sigma estimate
 
 
+def sampled(states, params):
+    """The monitor series of ``states``, each measured by the run's own sampler."""
+    rows = [_series_samples(s, params, 1.0, 0.0) for s in states]
+    t = [s.t for s in states]
+    return {name: TimeSeries(name, t, [row[name] for row in rows])
+            for name in SERIES_NAMES}
+
+
 def test_sigma_estimate_minimum_after_t0():
     grid = unit_grid(8)
     hist = [state_of(grid, 1.0, 0.5, m, t=t)
             for t, m in [(0.0, 0.5), (1.0, 0.3), (2.0, 0.4)]]
-    assert sigma_estimate(hist, 0.5) == pytest.approx(0.3)
-    assert sigma_estimate(hist, 1.5) == pytest.approx(0.4)
-    assert sigma_estimate(hist, 0.0) == pytest.approx(0.3)
+    series = sampled(hist, params_with())
+    assert sigma_estimate(series, 0.5) == pytest.approx(0.3)
+    assert sigma_estimate(series, 1.5) == pytest.approx(0.4)
+    assert sigma_estimate(series, 0.0) == pytest.approx(0.3)
 
 
 def test_sigma_estimate_no_samples():
     grid = unit_grid(8)
     hist = [state_of(grid, 1.0, 0.5, 0.5, t=0.0)]
     with pytest.raises(InsufficientDataError):
-        sigma_estimate(hist, 3.0)
+        sigma_estimate(sampled(hist, params_with()), 3.0)
 
 
 # ---------------------------------------------------------------------------
 # bounds report
 
 
+def bounds(states, params):
+    """The bound claims on ``states``, as a report to look them up in."""
+    claims = bounds_report(sampled(states, params), params, states[0].grid)
+    assert all(c.claim_id.startswith("bound_") for c in claims)
+    return TheoremReport("custom", tuple(claims))
+
+
 def test_bounds_all_zero_data_trivially_satisfied():
     grid = unit_grid()
     hist = [state_of(grid, 0.0, 0.0, 0.0, t=float(t)) for t in range(3)]
-    report = bounds_report(hist, params_with(), hist[0])
-    assert report.all_satisfied
+    report = bounds(hist, params_with())
+    assert report.all_pass
 
 
 def test_bounds_mass_threshold_uses_domain_volume():
     grid = unit_grid()
     hist = [state_of(grid, 0.5, 0.5, 0.1)]
-    report = bounds_report(hist, params_with(), hist[0])
-    assert report.record("cell_mass_l1").theoretical_bound == pytest.approx(1.0)
-    assert report.record("cell_mass_l1").observed_max == pytest.approx(0.5)
+    report = bounds(hist, params_with())
+    assert report.claim("bound_cell_mass_l1").threshold == pytest.approx(1.0)
+    assert report.claim("bound_cell_mass_l1").measured == pytest.approx(0.5)
 
 
 def test_bounds_mass_threshold_uses_initial_mass_when_larger():
     grid = unit_grid()
     hist = [state_of(grid, 2.5, 0.5, 0.1)]
-    report = bounds_report(hist, params_with(), hist[0])
-    assert report.record("cell_mass_l1").theoretical_bound == pytest.approx(2.5)
+    report = bounds(hist, params_with())
+    assert report.claim("bound_cell_mass_l1").threshold == pytest.approx(2.5)
 
 
 def test_bounds_injected_negative_cell_fails_positivity():
@@ -243,21 +261,31 @@ def test_bounds_injected_negative_cell_fails_positivity():
     u[3] = -1e-6
     hist = [state_of(grid, 1.0, 0.5, 0.1, t=0.0),
             state_of(grid, u, 0.5, 0.1, t=1.0)]
-    report = bounds_report(hist, params_with(), hist[0])
-    assert not report.record("positivity").satisfied
-    assert not report.all_satisfied
+    report = bounds(hist, params_with())
+    assert report.claim("bound_positivity").verdict == "fail"
+    assert not report.all_pass
+
+
+def test_bounds_injected_negative_matrix_fails_positivity():
+    grid = unit_grid(8)
+    v = np.full(8, 0.5)
+    v[2] = -1e-6
+    hist = [state_of(grid, 1.0, 0.5, 0.1, t=0.0),
+            state_of(grid, 1.0, v, 0.1, t=1.0)]
+    claim = bounds(hist, params_with()).claim("bound_positivity")
+    assert claim.measured == pytest.approx(1e-6)
+    assert claim.verdict == "fail"
 
 
 def test_bounds_matrix_sup_growth_detected():
     grid = unit_grid(8)
     hist = [state_of(grid, 1.0, 0.5, 0.1, t=0.0),
             state_of(grid, 1.0, 0.6, 0.1, t=1.0)]
-    report = bounds_report(hist, params_with(), hist[0])
-    rec = report.record("matrix_sup")
-    assert rec.theoretical_bound == pytest.approx(0.5)
-    assert rec.observed_max == pytest.approx(0.6)
-    assert not rec.satisfied
-    assert rec.margin == pytest.approx(-0.1)
+    claim = bounds(hist, params_with()).claim("bound_matrix_sup")
+    assert claim.threshold == pytest.approx(0.5)
+    assert claim.measured == pytest.approx(0.6)
+    assert claim.verdict == "fail"
+    assert claim.threshold - claim.measured == pytest.approx(-0.1)
 
 
 def test_bounds_protease_envelope():
@@ -268,12 +296,12 @@ def test_bounds_protease_envelope():
     initial = state_of(grid, 1.0, 0.5, 1.0, t=0.0)
     ok = [initial, state_of(grid, 1.0, 0.5, math.exp(-2.0) + 0.2, t=1.0)]
     bad = [initial, state_of(grid, 1.0, 0.5, math.exp(-2.0) + 0.3, t=1.0)]
-    rec_ok = bounds_report(ok, p, initial).record("protease_mass_l1")
-    rec_bad = bounds_report(bad, p, initial).record("protease_mass_l1")
-    assert rec_ok.theoretical_bound == pytest.approx(0.25)
-    assert rec_ok.observed_max == pytest.approx(0.2, abs=1e-12)
-    assert rec_ok.satisfied
-    assert not rec_bad.satisfied
+    claim_ok = bounds(ok, p).claim("bound_protease_mass_l1")
+    claim_bad = bounds(bad, p).claim("bound_protease_mass_l1")
+    assert claim_ok.threshold == pytest.approx(0.25)
+    assert claim_ok.measured == pytest.approx(0.2, abs=1e-12)
+    assert claim_ok.verdict == "pass"
+    assert claim_bad.verdict == "fail"
 
 
 def test_bounds_cell_lower_barrier():
@@ -284,21 +312,35 @@ def test_bounds_cell_lower_barrier():
     barrier = math.exp(-0.5 * 0.8)  # constant taxis 0.5 integrated to sup v0
     ok = [initial, state_of(grid, 0.9, v0, 0.1, t=1.0)]
     bad = [initial, state_of(grid, 0.5, v0, 0.1, t=1.0)]
-    rec_ok = bounds_report(ok, params_with(), initial).record("cell_lower_bound")
-    rec_bad = bounds_report(bad, params_with(), initial).record("cell_lower_bound")
-    assert rec_ok.theoretical_bound == pytest.approx(-barrier)
-    assert rec_ok.satisfied
-    assert not rec_bad.satisfied
+    claim_ok = bounds(ok, params_with()).claim("bound_cell_lower_bound")
+    claim_bad = bounds(bad, params_with()).claim("bound_cell_lower_bound")
+    assert claim_ok.threshold == pytest.approx(-barrier)
+    assert claim_ok.verdict == "pass"
+    assert claim_bad.verdict == "fail"
+
+
+@pytest.mark.parametrize("gap, verdict", [(1e-15, "pass"), (1e-7, "fail")])
+def test_bounds_slack_loosens_a_negative_bound(gap, verdict):
+    # flat v0 = 0 puts the barrier at min(1, u0) = 0.5 and the bound at
+    # -0.5; a record 1e-15 under the barrier is roundoff and must pass,
+    # while one 1e-7 under it is past the slack of 1e-8 * 0.5
+    grid = unit_grid(8)
+    hist = [state_of(grid, 0.5, 0.0, 0.0, t=0.0),
+            state_of(grid, 0.5 - gap, 0.0, 0.0, t=1.0)]
+    claim = bounds(hist, params_with()).claim("bound_cell_lower_bound")
+    assert claim.threshold == -0.5
+    assert claim.measured == -(0.5 - gap)
+    assert claim.verdict == verdict
 
 
 def test_bounds_protease_floor_record_only_with_positive_floor():
     grid = unit_grid(8)
     hist = [state_of(grid, 1.0, 0.5, 0.1)]
-    no_floor = bounds_report(hist, params_with(g=FunctionSpec.affine(0.0, 1.0)), hist[0])
+    no_floor = bounds(hist, params_with(g=FunctionSpec.affine(0.0, 1.0)))
     with pytest.raises(KeyError):
-        no_floor.record("protease_lower_bound")
-    with_floor = bounds_report(hist, params_with(g=FunctionSpec.affine(1.0, 1.0)), hist[0])
-    assert with_floor.record("protease_lower_bound").satisfied
+        no_floor.claim("bound_protease_lower_bound")
+    with_floor = bounds(hist, params_with(g=FunctionSpec.affine(1.0, 1.0)))
+    assert with_floor.claim("bound_protease_lower_bound").verdict == "pass"
 
 
 def test_bounds_protease_floor_ignores_transient():
@@ -309,10 +351,9 @@ def test_bounds_protease_floor_ignores_transient():
     m0[0] = 0.0
     hist = [state_of(grid, 1.0, 0.5, m0, t=0.0),
             state_of(grid, 1.0, 0.4, 0.2, t=10.0)]
-    report = bounds_report(hist, params_with(), hist[0])
-    rec = report.record("protease_lower_bound")
-    assert rec.observed_max == pytest.approx(-0.2)
-    assert rec.satisfied
+    claim = bounds(hist, params_with()).claim("bound_protease_lower_bound")
+    assert claim.measured == pytest.approx(-0.2)
+    assert claim.verdict == "pass"
 
 
 def test_bounds_accept_weighted_history():
@@ -320,8 +361,10 @@ def test_bounds_accept_weighted_history():
     p = params_with(chi=FunctionSpec.constant(1.0))
     prim = state_of(grid, 2.0, 1.0, 0.1)
     wgt = to_weighted_form(prim, p)
-    report = bounds_report([wgt], p, wgt)
-    assert report.record("cell_mass_l1").observed_max == pytest.approx(2.0, rel=1e-12)
+    report = bounds([wgt], p)
+    assert report.claim("bound_cell_mass_l1").measured == pytest.approx(2.0, rel=1e-12)
+    assert report.claim("bound_weighted_mass_l1").measured == pytest.approx(
+        2.0 * math.exp(-1.0), rel=1e-12)
 
 
 def test_bounds_require_ordered_history():
@@ -329,7 +372,13 @@ def test_bounds_require_ordered_history():
     hist = [state_of(grid, 1.0, 0.5, 0.1, t=1.0),
             state_of(grid, 1.0, 0.5, 0.1, t=0.5)]
     with pytest.raises(ValidationError):
-        bounds_report(hist, params_with(), hist[0])
+        bounds(hist, params_with())
+
+
+def test_bounds_require_a_sample():
+    empty = {name: TimeSeries(name, [], []) for name in SERIES_NAMES}
+    with pytest.raises(ValidationError, match="at least one sample"):
+        bounds_report(empty, params_with(), unit_grid(8))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from haptosim import FunctionSpec, ModelParams, ValidationError, build_grid
 from haptosim import harness
-from haptosim.analysis import DecayFit, TimeSeries
+from haptosim.analysis import Claim, DecayFit, TheoremReport, TimeSeries
 from haptosim.cli import main
 from haptosim.config import (
     ConfigError,
@@ -22,11 +22,9 @@ from haptosim.config import (
 )
 from haptosim.harness import (
     SERIES_NAMES,
-    Claim,
     InitialSpec,
     RunResult,
     Scenario,
-    TheoremReport,
     preset_names,
     preset_scenario,
     run,
@@ -724,10 +722,25 @@ def test_cli_reports_non_finite_table(tmp_path, capsys, key):
     # this used to parse, then fail in the first step as a solver blow-up
     cfg = write_config(tmp_path, config_text(**{key: "tabulated(nan:1.0, 1.0:2.0)"}))
     assert main(["verify", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    lineno, name = {"model__taxis": (6, "taxis"),
+                    "model__production": (7, "production")}[key]
     assert capsys.readouterr().err == (
-        "error: tabulated nodes and table must be finite, "
+        f"error: line {lineno}: {name}: tabulated nodes and table must be finite, "
         "got nodes (nan, 1.0) and table (1.0, 2.0)\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_the_line_and_key_of_a_bad_initial_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, config_text(initial__u0="bump(0.5, 0.0, 1.0)"))
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 19: u0: bump width must be positive, got 0.0\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_spec_errors_stay_validation_errors():
+    with pytest.raises(ValidationError, match=r"^line 19: u0: bump width"):
+        parse_config(config_text(initial__u0="bump(0.5, 0.0, 1.0)"))
 
 
 def test_cli_rejects_production_negative_past_the_old_probe_range(tmp_path, capsys):
@@ -737,7 +750,8 @@ def test_cli_rejects_production_negative_past_the_old_probe_range(tmp_path, caps
         model__production="affine(1.0, -0.05)", initial__v0="constant(30)"))
     assert main(["verify", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        "error: affine function has infimum -inf over v >= 0; it must be >= 0\n")
+        "error: line 7: production: affine function has infimum -inf over v >= 0; "
+        "it must be >= 0\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -790,6 +804,19 @@ def test_cli_verify_passes_on_conserved_run(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "cell_mass_drift" in stdout
     assert "0 failed" in stdout
+
+
+def test_cli_verify_passes_a_negative_bound_met_to_roundoff(tmp_path, capsys):
+    # flat u0 = 0.5 and v0 = 0 put the cell lower barrier at 0.5 exactly;
+    # the solve leaves min u at 0.49999999999999933, and the bound's slack
+    # used to tighten the negative bound -0.5 instead of loosening it
+    cfg = write_config(tmp_path, config_text(
+        model__mu="0", initial__u0="constant(0.5)", initial__v0="constant(0.0)",
+        initial__m0="constant(0.0)", stepper__t_end="0.1"))
+    assert main(["verify", "-c", cfg, "-o", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines if "cell_lower_bound" in line] == [
+        ["bound_cell_lower_bound", "pass"]]
 
 
 def test_cli_verify_exits_2_on_failed_claims(tmp_path, capsys):

@@ -15,13 +15,13 @@ from haptosim import (
     initial_state,
 )
 from haptosim import harness
+from haptosim.analysis import TimeSeries
 from haptosim.harness import (
     MAX_STEPS,
-    Claim,
+    SERIES_NAMES,
     InitialSpec,
     RunResult,
     Scenario,
-    TheoremReport,
     build_initial_fields,
     convergence_study,
     preset_names,
@@ -412,6 +412,17 @@ def flat_state(grid, t, u, v, m):
                     ScalarField.full(grid, m), PRIMITIVE)
 
 
+def synthetic_result(sc, states, series):
+    """A fabricated run: ``series`` plus every series it leaves out, sampled
+    from ``states`` by the run's own sampler so that the two agree."""
+    t = np.array([s.t for s in states])
+    rows = [harness._series_samples(s, sc.params, 1.0, 0.0) for s in states]
+    full = {name: series[name] if name in series
+            else TimeSeries(name, t, [row[name] for row in rows])
+            for name in SERIES_NAMES}
+    return RunResult(sc, states, full, 0.0, 1.0)
+
+
 def synthetic_bound3_result(t_end=32.0, n=321):
     """Fabricated run whose series are exact exponentials."""
     sc = preset_scenario("theorem_bound3")
@@ -420,7 +431,6 @@ def synthetic_bound3_result(t_end=32.0, n=321):
     t = np.linspace(0.0, t_end, n)
     states = [flat_state(grid, tk, 1.0, 0.8 * math.exp(-tk),
                          1.0 - 0.9 * math.exp(-tk)) for tk in t]
-    from haptosim.analysis import TimeSeries
     mk = lambda name, vals: TimeSeries(name, t, vals)
     series = {
         "cell_dev_l2": mk("cell_dev_l2", 0.1 * np.exp(-0.9 * t)),
@@ -433,7 +443,7 @@ def synthetic_bound3_result(t_end=32.0, n=321):
         "protease_min": mk("protease_min", 1.0 - 0.9 * np.exp(-t)),
         "cell_mass": mk("cell_mass", np.ones_like(t)),
     }
-    return RunResult(sc, states, series, 0.0, 1.0)
+    return synthetic_result(sc, states, series)
 
 
 def test_verify_synthetic_exponentials_pass_all_rate_claims():
@@ -455,7 +465,6 @@ def test_verify_synthetic_exponentials_pass_all_rate_claims():
 def test_verify_bound3_flags_wrong_matrix_rate():
     res = synthetic_bound3_result()
     # rebuild the sup series decaying at half the predicted rate
-    from haptosim.analysis import TimeSeries
     t = res.series["matrix_sup"].t
     series = dict(res.series)
     series["matrix_sup"] = TimeSeries("matrix_sup", t, 0.8 * np.exp(-0.5 * t))
@@ -478,6 +487,19 @@ def test_verify_includes_bound_claims_for_every_regime():
     assert not any("fit" in c for c in ids)
 
 
+@pytest.mark.parametrize("regime, mu, g", [
+    ("custom", 1.0, FunctionSpec.affine(1.0, 1.0)),
+    ("theorem_bound3", 1.0, FunctionSpec.affine(1.0, 1.0)),
+    ("mu_zero_conservation", 0.0, FunctionSpec.affine(0.0, 1.0)),
+])
+def test_verify_reads_only_the_first_and_last_records(regime, mu, g):
+    res = run(quick_scenario(regime=regime, mu=mu, g=g, t_end=1.0,
+                             formulation=WEIGHTED))
+    assert len(res.recorded_states) == 11
+    ends = replace(res, recorded_states=[res.initial_state, res.final_state])
+    assert verify(ends) == verify(res)
+
+
 def test_verify_mu_zero_claims():
     sc = quick_scenario(regime="mu_zero_conservation", mu=0.0,
                         g=FunctionSpec.affine(0.0, 1.0), t_end=1.0)
@@ -495,13 +517,12 @@ def test_verify_bound5_envelope_catches_regrowth():
     vals = np.exp(-t)
     vals[60:] = 2e-4  # floor above the decayed trend: an uptick at index 60
     vals[0] = 0.1
-    from haptosim.analysis import TimeSeries
     states = [flat_state(grid, tk, 1.0, math.exp(-tk), v) for tk, v in zip(t, vals)]
     series = {name: TimeSeries(name, t, vals) for name in (
         "cell_dev_l2", "cell_dev_sup", "matrix_sup", "grad_sqrt_matrix_l2",
         "protease_dev_l2", "protease_l2", "cell_min", "protease_min")}
     series["cell_mass"] = TimeSeries("cell_mass", t, np.ones_like(t))
-    report = verify(RunResult(sc, states, series, 0.0, 1.0))
+    report = verify(synthetic_result(sc, states, series))
     assert report.claim("protease_l2_envelope").verdict == "fail"
 
 
@@ -512,7 +533,6 @@ def test_verify_bound5_threshold_claims_on_clean_decay():
     t = np.linspace(0.0, 100.0, 101)
     m = 0.5 * np.exp(-0.2 * t)
     dev = 0.1 * np.exp(-0.2 * t)
-    from haptosim.analysis import TimeSeries
     states = [flat_state(grid, tk, 1.0, 0.5 * math.exp(-tk), mv)
               for tk, mv in zip(t, m)]
     series = {}
@@ -524,7 +544,7 @@ def test_verify_bound5_threshold_claims_on_clean_decay():
         series[name] = TimeSeries(name, t, m)
     series["cell_min"] = TimeSeries("cell_min", t, np.ones_like(t))
     series["cell_mass"] = TimeSeries("cell_mass", t, np.ones_like(t))
-    report = verify(RunResult(sc, states, series, 0.0, 1.0))
+    report = verify(synthetic_result(sc, states, series))
     # final/peak = e^{-20} for m, far under 1e-3; dev ratio likewise under 1e-2
     assert report.claim("protease_l2_final_over_peak").verdict == "pass"
     assert report.claim("cell_dev_final_over_initial").verdict == "pass"
