@@ -21,7 +21,7 @@ from .model import Grid, ScalarField, FunctionSpec, ValidationError
 __all__ = [
     "gradient_faces",
     "laplacian_neumann",
-    "drift_velocity",
+    "drift_velocities",
     "haptotaxis_divergence",
     "helmholtz_solve",
 ]
@@ -69,14 +69,30 @@ def _neighbour_mean(values: np.ndarray, axis: int) -> np.ndarray:
     return 0.5 * (values[_LO[key]] + values[_HI[key]])
 
 
-def drift_velocity(v: ScalarField, chi: FunctionSpec, axis: int) -> np.ndarray:
-    """Drift ``chi(v) * dv/dx`` on the interior faces normal to ``axis``.
+# The velocities of the last ``(v, chi)`` asked for, so a step's dt guard
+# and its drift divergence share one evaluation.  The slot holds ``v`` and
+# ``chi`` themselves, so neither identity can be reused while it is cached;
+# ``imex_step`` empties it before its solves, so nothing outlives the step.
+_last_drift: list = [None, None, None]
+
+
+def drift_velocities(v: ScalarField, chi: FunctionSpec) -> tuple[np.ndarray, ...]:
+    """Drift ``chi(v) * dv/dx`` on the interior faces normal to each axis.
 
     ``chi`` takes the arithmetic face average of ``v``; wall faces,
-    where the velocity vanishes, are left out.
+    where the velocity vanishes, are left out.  The arrays are read-only.
+    A second call with the same ``v`` and ``chi`` objects returns them
+    again, unless a step has run in between.
     """
-    dv = _diff(v.values, axis) / v.grid.spacing[axis]
-    return chi(_neighbour_mean(v.values, axis)) * dv
+    last = _last_drift
+    if last[0] is not v or last[1] is not chi:
+        values, vel = v.values, []
+        for d, h in enumerate(v.grid.spacing):
+            vel_d = chi(_neighbour_mean(values, d)) * (_diff(values, d) / h)
+            vel_d.flags.writeable = False
+            vel.append(vel_d)
+        last[:] = v, chi, tuple(vel)
+    return last[2]
 
 
 def _face_diffs(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -131,8 +147,7 @@ def haptotaxis_divergence(u: ScalarField, v: ScalarField, chi: FunctionSpec,
         raise ValidationError("u and v must share a grid")
     dims, cells = grid.dims, u.values
     fluxes = []
-    for d, shape in enumerate(grid.face_shapes):
-        vel = drift_velocity(v, chi, d)
+    for d, (shape, vel) in enumerate(zip(grid.face_shapes, drift_velocities(v, chi))):
         if scheme == "upwind":
             key = dims, d
             uface = np.where(vel > 0, cells[_LO[key]], cells[_HI[key]])
@@ -148,14 +163,20 @@ def haptotaxis_divergence(u: ScalarField, v: ScalarField, chi: FunctionSpec,
 # Helmholtz-type solves (b*I - a*Laplacian) x = rhs
 
 
+# denominators kept per grid: the two solves of a step at the last step size
+_DENOMINATORS_KEPT = 2
+
+
 @functools.lru_cache(maxsize=8)
-def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray, dict]:
     """Eigenbasis of the Neumann Laplacian on ``grid``.
 
     Returns the orthonormal DCT-II matrix ``Q`` of each axis (column
-    ``k`` is the mode ``cos(pi k (j + 1/2) / n)``) and the eigenvalues of
-    ``-Laplacian`` on the whole grid, ``sum_d (4/h_d**2) sin**2(pi k_d / 2n_d)``.
-    Both are read-only and cached per grid.
+    ``k`` is the mode ``cos(pi k (j + 1/2) / n)``), the eigenvalues of
+    ``-Laplacian`` on the whole grid, ``sum_d (4/h_d**2) sin**2(pi k_d / 2n_d)``,
+    and the solve's cache of denominators ``b + a*lambda`` by ``(a, b)``,
+    which holds at most ``_DENOMINATORS_KEPT``.  The arrays are read-only
+    and cached per grid.
     """
     bases = []
     lam = np.zeros(grid.shape)
@@ -168,17 +189,23 @@ def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         lam_d = (4.0 / h**2) * np.sin(0.5 * np.pi * k / n) ** 2
         lam = lam + lam_d.reshape([n if e == d else 1 for e in range(grid.dims)])
     lam.flags.writeable = False
-    return tuple(bases), lam
+    return tuple(bases), lam, {}
 
 
 def _along_axis(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
     """Apply ``matrix`` to every line of the C-ordered ``values`` along ``axis``.
 
-    The reshape to (lines before, ``n``, lines after) is a view, so this is
-    one stacked ``matmul`` with no transposed copy.
+    Both products work on views, with no transposed copy.  Along the last,
+    contiguous axis the lines are the rows of a ``(lines, n)`` view, and
+    one matrix product ``rows @ matrix.T`` takes them all.  Along any other
+    axis the reshape is to (lines before, ``n``, lines after), and one
+    stacked ``matmul`` takes them.
     """
     shape = values.shape
-    stacked = values.reshape(math.prod(shape[:axis]), shape[axis], -1)
+    n = shape[axis]
+    if axis == len(shape) - 1:
+        return (values.reshape(-1, n) @ matrix.T).reshape(shape)
+    stacked = values.reshape(math.prod(shape[:axis]), n, -1)
     return np.matmul(matrix, stacked).reshape(shape)
 
 
@@ -190,15 +217,23 @@ def helmholtz_solve(a: float, b: float, rhs: ScalarField) -> ScalarField:
     Laplacian exactly (G. Strang, "The Discrete Cosine Transform", SIAM
     Review 41, 1999), so ``rhs`` is taken into that basis, divided by
     ``b + a*lambda`` and taken back.  The result is exact to roundoff;
-    there is no tolerance and no iteration.
+    there is no tolerance and no iteration.  The bases and the
+    denominators are cached per grid, so a solve with the coefficients
+    of a recent one only multiplies and divides.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise ValidationError(f"need positive finite coefficients, got a={a}, b={b}")
-    bases, lam = _dct_modes(rhs.grid)
+    bases, lam, denominators = _dct_modes(rhs.grid)
+    denom = denominators.get((a, b))
+    if denom is None:
+        if len(denominators) == _DENOMINATORS_KEPT:
+            del denominators[next(iter(denominators))]
+        denom = denominators[a, b] = b + a * lam
+        denom.flags.writeable = False
     x = rhs.values
     for d, q in enumerate(bases):
         x = _along_axis(q.T, x, d)
-    x = x / (b + a * lam)
+    x = x / denom
     for d, q in enumerate(bases):
         x = _along_axis(q, x, d)
     return rhs.with_values(x)

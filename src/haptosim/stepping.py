@@ -22,6 +22,13 @@ rule, which feeds the exact-decay identity checks on the matrix.  The
 time integral of ``grad m`` is not stored: both the trapezoid update
 and the cell-centred gradient are linear, so it equals the gradient of
 ``int_0^t m`` and is derived from it on demand.
+
+Each per-step quantity is computed once.  :func:`stable_dt` evaluates
+the face drift velocities of a primitive state, or the taxis weight of
+a weighted one; :func:`imex_step` on the same state finds them in
+one-slot caches keyed on the identity of the matrix field and of
+``chi``, and empties both before its solves.  Nothing is stored on a
+field, and nothing is kept past the step.
 """
 
 from __future__ import annotations
@@ -42,8 +49,9 @@ from .model import (
 )
 from .operators import (
     _face_diffs,
+    _last_drift,
     _neighbour_mean,
-    drift_velocity,
+    drift_velocities,
     gradient_faces,
     haptotaxis_divergence,
     helmholtz_solve,
@@ -121,9 +129,12 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
 
     candidates = []
     # every axis has at least two cells, so every velocity array is nonempty
-    for d, h in enumerate(ecm.grid.spacing):
-        speed = float(np.abs(drift_velocity(ecm, params.taxis, d)).max())
+    for h, vel in zip(ecm.grid.spacing, drift_velocities(ecm, params.taxis)):
+        speed = float(np.abs(vel).max())
         candidates.append(cfg.cfl * h / max(speed, DENOM_FLOOR))
+    if state.formulation != PRIMITIVE:
+        # a weighted step has no drift divergence to reuse them in
+        _last_drift[:] = None, None, None
 
     if params.growth_rate > 0:
         rate = params.growth_rate * float((1.0 + u + v).max())
@@ -142,21 +153,34 @@ def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
             for d, comp in enumerate(gradient_faces(f))]
 
 
+# The taxis weight of the last ``(v, chi)`` asked for, so a weighted step's
+# dt guard and its update divide by one evaluation.  Like
+# ``operators._last_drift``, the slot holds ``v`` and ``chi`` themselves,
+# and ``imex_step`` empties it before its solves.
+_last_weight: list = [None, None, None]
+
+
 def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:
     """The primitive cell density ``u`` as a raw array, whichever form the state holds."""
     cells = state.cells.values
     if state.formulation == PRIMITIVE:
         return cells
-    return cells / taxis_weight(state.ecm, params.taxis).values
+    v, chi, last = state.ecm, params.taxis, _last_weight
+    if last[0] is not v or last[1] is not chi:
+        last[:] = v, chi, taxis_weight(v, chi).values
+    return cells / last[2]
 
 
 def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
                    protease: np.ndarray) -> None:
-    if np.isfinite(cells).all() and np.isfinite(ecm).all() and np.isfinite(protease).all():
+    # a finite sum proves every entry finite; a sum of finite entries may
+    # still overflow, so a non-finite sum gets the exact check per field
+    if math.isfinite(cells.sum() + ecm.sum() + protease.sum()):
         return
     fields = {"cells": cells, "ecm": ecm, "protease": protease}
-    raise BlowupError(t, [name for name, arr in fields.items()
-                          if not np.isfinite(arr).all()])
+    bad = [name for name, arr in fields.items() if not np.isfinite(arr).all()]
+    if bad:
+        raise BlowupError(t, bad)
 
 
 def imex_step(state: SimState, params: ModelParams, dt: float,
@@ -187,11 +211,8 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
     mu = params.growth_rate
     u = _primitive_cells(state, params)
 
-    protease_new = helmholtz_solve(
-        params.protease_diffusion, 1.0 / dt + params.protease_decay,
-        ScalarField(grid, m / dt + u * g(v)))
-    ecm_new = step_v_exact(state.ecm, state.protease, dt)
-
+    # the cells' explicit terms come first: they are the step's last use of
+    # the drift velocities and the taxis weight, so both go before the solves
     if state.formulation == PRIMITIVE:
         drift = haptotaxis_divergence(state.cells, state.ecm, chi,
                                       scheme=flux_scheme).values
@@ -202,6 +223,12 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
             dot += _neighbour_mean(_face_diffs(v, grid, d) * _face_diffs(w, grid, d), d)
         chi_v = chi(v)
         explicit = chi_v * dot + mu * w * (1.0 - u - v) + chi_v * w * v * m
+    _last_drift[:] = _last_weight[:] = None, None, None
+
+    protease_new = helmholtz_solve(
+        params.protease_diffusion, 1.0 / dt + params.protease_decay,
+        ScalarField(grid, m / dt + u * g(v)))
+    ecm_new = step_v_exact(state.ecm, state.protease, dt)
     cells_new = helmholtz_solve(1.0, 1.0 / dt, ScalarField(grid, w / dt + explicit))
 
     m_new = protease_new.values

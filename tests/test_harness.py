@@ -343,6 +343,15 @@ def test_run_homogeneous_steady_start_stays_put():
         assert np.max(res.series[name].values) <= 1e-10, name
 
 
+@pytest.mark.parametrize("formulation", [PRIMITIVE, WEIGHTED])
+def test_run_stores_nothing_on_recorded_fields(formulation):
+    # per-step reuse lives in one-slot caches, never on a field
+    result = run(quick_scenario(cells=(8, 6), formulation=formulation))
+    for state in result.recorded_states:
+        for name in ("cells", "ecm", "protease", "int_protease"):
+            assert set(vars(getattr(state, name))) == {"grid", "values"}, name
+
+
 def test_run_records_land_on_schedule():
     sc = quick_scenario(t_end=1.0, dt_max=0.2, record_every=0.25)
     res = run(sc)

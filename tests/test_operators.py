@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from haptosim.model import FunctionSpec, ScalarField, ValidationError, build_grid
 from haptosim.operators import (
+    _DENOMINATORS_KEPT,
+    _along_axis,
     _dct_modes,
+    drift_velocities,
     gradient_faces,
     haptotaxis_divergence,
     helmholtz_solve,
@@ -16,6 +19,44 @@ from haptosim.operators import (
 def _random_field(grid, seed):
     rng = np.random.default_rng(seed)
     return ScalarField(grid, rng.standard_normal(grid.shape))
+
+
+def _axis_stencil(n, extent):
+    """Dense 1D Laplacian of ``n`` cells, assembled from ``laplacian_neumann``."""
+    line = build_grid(n, extent)
+    return np.column_stack([laplacian_neumann(ScalarField(line, e)).values
+                            for e in np.eye(n)])
+
+
+def _kronecker_oracle(grid, a, b, rhs):
+    """Solve ``(b*I - a*Lap) x = rhs`` from the dense stencil of each axis.
+
+    The grid Laplacian is the Kronecker sum of its axis stencils, so the
+    eigenvectors LAPACK finds for each dense stencil diagonalize it; this
+    is the dense oracle without an ``N x N`` matrix.
+    """
+    eigs = [np.linalg.eigh(_axis_stencil(n, e)) for n, e in zip(grid.cells, grid.extents)]
+    x = rhs
+    for d, (_, vecs) in enumerate(eigs):
+        x = np.moveaxis(np.tensordot(vecs.T, x, axes=([1], [d])), 0, d)
+    mu = sum(w.reshape([-1 if e == d else 1 for e in range(grid.dims)])
+             for d, (w, _) in enumerate(eigs))
+    x = x / (b - a * mu)
+    for d, (_, vecs) in enumerate(eigs):
+        x = np.moveaxis(np.tensordot(vecs, x, axes=([1], [d])), 0, d)
+    return x
+
+
+def _uncached_solve(a, b, rhs):
+    """``helmholtz_solve`` with the denominators built afresh."""
+    bases, lam, _ = _dct_modes(rhs.grid)
+    x = rhs.values
+    for d, q in enumerate(bases):
+        x = _along_axis(q.T, x, d)
+    x = x / (b + a * lam)
+    for d, q in enumerate(bases):
+        x = _along_axis(q, x, d)
+    return x
 
 
 def _dense_matrix(grid, a, b):
@@ -91,6 +132,36 @@ class TestGradient:
         grad = gradient_faces(ScalarField.zeros(g))
         assert grad[0].shape == (4, 5)
         assert grad[1].shape == (3, 6)
+
+
+class TestDriftVelocities:
+    def test_matches_face_formula(self):
+        g = build_grid((6, 5), (1.0, 0.8))
+        v, chi = _random_field(g, 21), FunctionSpec.saturating(0.3, 1.2)
+        for d, vel in enumerate(drift_velocities(v, chi)):
+            n = g.cells[d]
+            lo = np.take(v.values, range(n - 1), axis=d)
+            hi = np.take(v.values, range(1, n), axis=d)
+            assert np.array_equal(vel, chi(0.5 * (lo + hi)) * ((hi - lo) / g.spacing[d]))
+            assert not vel.flags.writeable
+
+    def test_new_chi_on_the_same_field_gives_new_velocities(self):
+        g = build_grid((6, 5), 1.0)
+        v = _random_field(g, 22)
+        slow, fast = FunctionSpec.constant(0.5), FunctionSpec.constant(2.0)
+        first = drift_velocities(v, slow)
+        second = drift_velocities(v, fast)
+        for a, b in zip(first, second):
+            assert np.array_equal(4.0 * a, b)
+        assert drift_velocities(v, fast) is second
+
+    def test_new_field_on_the_same_grid_gives_new_velocities(self):
+        g = build_grid(8, 1.0)
+        chi = FunctionSpec.constant(1.0)
+        v, w = _random_field(g, 23), _random_field(g, 24)
+        drift_velocities(v, chi)
+        got = drift_velocities(w, chi)[0]
+        assert np.array_equal(got, (w.values[1:] - w.values[:-1]) / g.spacing[0])
 
 
 class TestHaptotaxisDivergence:
@@ -204,17 +275,59 @@ class TestHelmholtz:
         got = helmholtz_solve(a, b, rhs)
         assert np.max(np.abs(got.values.ravel() - expected)) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(64, 64), (24, 20, 16), (5, 7, 3)])
+    def test_matches_kronecker_oracle(self, shape):
+        # unit-order spacing keeps the oracle's own eigen-solve accurate to 1e-15
+        g = build_grid(shape, tuple(n * s for n, s in zip(shape, (1.0, 0.75, 1.25))))
+        rhs = _random_field(g, 17)
+        got = helmholtz_solve(0.7, 3.0, rhs).values
+        assert np.max(np.abs(got - _kronecker_oracle(g, 0.7, 3.0, rhs.values))) < 1e-13
+
+    def test_kronecker_oracle_is_the_dense_oracle(self):
+        g = build_grid((5, 7, 3), (5.0, 5.25, 3.75))
+        rhs = _random_field(g, 18)
+        dense = np.linalg.solve(_dense_matrix(g, 0.7, 3.0), rhs.values.ravel())
+        oracle = _kronecker_oracle(g, 0.7, 3.0, rhs.values)
+        assert np.max(np.abs(oracle.ravel() - dense)) < 1e-13
+
+    @pytest.mark.parametrize("n", [128, 64, 33, 8, 2])
+    def test_1d_row_product_is_the_stacked_product_bit_for_bit(self, n):
+        # a 1D grid's only axis is its contiguous one; the row product must
+        # give the bits of the stacked matmul every other axis uses
+        q = _dct_modes(build_grid(n, 1.0))[0][0]
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            x = rng.standard_normal(n)
+            for m in (q, q.T):
+                stacked = np.matmul(m, x.reshape(1, n, 1)).reshape(n)
+                assert np.array_equal(_along_axis(m, x, 0), stacked)
+
+    def test_cached_denominators_give_the_uncached_bits(self):
+        g = build_grid((12, 10), (1.0, 0.9))
+        rhs = _random_field(g, 20)
+        bases, lam, denominators = _dct_modes(g)
+        # a step's two solves at alternating step sizes, then more pairs than are kept
+        pairs = [(a, 1.0 / dt + c) for dt in (0.01, 0.02, 0.01, 0.005)
+                 for a, c in ((0.5, 1.0), (1.0, 0.0))]
+        pairs += [(0.3 + 0.1 * k, 2.0 + k) for k in range(2 * _DENOMINATORS_KEPT)]
+        for a, b in pairs + pairs[::-1] + pairs:
+            assert np.array_equal(helmholtz_solve(a, b, rhs).values,
+                                  _uncached_solve(a, b, rhs))
+            assert 0 < len(denominators) <= _DENOMINATORS_KEPT
+            assert np.array_equal(denominators[a, b], b + a * lam)
+        assert not any(d.flags.writeable for d in denominators.values())
+        assert not lam.flags.writeable
+        assert not any(q.flags.writeable for q in bases)
+
     @pytest.mark.parametrize("axis", range(3))
     def test_basis_diagonalizes_axis_stencil(self, axis):
         # each cached axis basis must diagonalize that axis's 1D stencil,
         # assembled here from laplacian_neumann, to the cached eigenvalues
         g = build_grid(ANISO_CELLS, ANISO_EXTENTS)
-        bases, lam = _dct_modes(g)
+        bases, lam, _ = _dct_modes(g)
         q = bases[axis]
         n = ANISO_CELLS[axis]
-        line = build_grid(n, ANISO_EXTENTS[axis])
-        stencil = np.column_stack([laplacian_neumann(ScalarField(line, e)).values
-                                   for e in np.eye(n)])
+        stencil = _axis_stencil(n, ANISO_EXTENTS[axis])
         # the other axes' zero modes have eigenvalue 0, so this line is lambda_axis
         lam_axis = lam[tuple(slice(None) if d == axis else 0 for d in range(3))]
         assert np.max(np.abs(q.T @ q - np.eye(n))) < 1e-12

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from haptosim import operators, stepping
 from haptosim.model import (
     WEIGHTED,
     FunctionSpec,
@@ -262,6 +263,17 @@ class TestImexStep:
             imex_step(s, _params(), 1.0)
         assert err.value.fields == ["ecm"]
 
+    def test_huge_finite_cells_are_not_a_blowup(self):
+        # the entries sum past the largest double, but each is finite, and
+        # so is the step: uniform matrix, no growth, no production
+        g = build_grid(2, 1.0)
+        s = initial_state(ScalarField.full(g, 1e308), ScalarField.full(g, 0.5),
+                          ScalarField.zeros(g))
+        p = _params(mu=0.0, g=FunctionSpec.constant(0.0))
+        with np.errstate(over="ignore"):
+            out = imex_step(s, p, 1.0)
+        assert np.allclose(out.cells.values, 1e308, rtol=1e-14, atol=0)
+
     def test_rejects_nonpositive_dt(self):
         g = build_grid(8, 1.0)
         s = initial_state(*[ScalarField.zeros(g)] * 3)
@@ -326,6 +338,43 @@ def test_step_is_the_documented_splitting_bit_for_bit(cells, form, flux_scheme):
             assert np.array_equal(getattr(out, name).values,
                                   getattr(ref, name).values), name
         s = out
+
+
+@pytest.mark.parametrize("form", ["primitive", "weighted"])
+@pytest.mark.parametrize("other", ["state", "chi"])
+def test_step_after_another_dt_guard_is_a_fresh_step(form, other):
+    # stable_dt on one state (or taxis) and then imex_step on another must
+    # not hand the step the first one's drift velocities or taxis weight
+    g = build_grid((8, 6), (1.0, 1.25))
+    p = _params(mu=0.8, chi=FunctionSpec.saturating(0.3, 1.2))
+    p_other = _params(mu=0.8, chi=FunctionSpec.saturating(0.6, 0.7))
+    s = _smooth_state(g, seed=1)
+    s_other = _smooth_state(g, seed=2)
+    if form == "weighted":
+        s, s_other = to_weighted_form(s, p), to_weighted_form(s_other, p)
+    cfg = StepperConfig(t_end=1.0, dt_max=0.05, record_every=1.0)
+    if other == "state":
+        stable_dt(s_other, p, cfg)
+    else:
+        stable_dt(s, p_other, cfg)
+    out = imex_step(s, p, 0.01)
+    # empty both one-slot caches, so the reference step computes all afresh
+    operators._last_drift[:] = stepping._last_weight[:] = None, None, None
+    fresh = imex_step(s, p, 0.01)
+    for name in ("cells", "ecm", "protease", "int_protease"):
+        assert np.array_equal(getattr(out, name).values,
+                              getattr(fresh, name).values), name
+
+
+@pytest.mark.parametrize("form", ["primitive", "weighted"])
+def test_step_keeps_nothing_past_itself(form):
+    g = build_grid((8, 6), 1.0)
+    p = _params(chi=FunctionSpec.saturating(0.3, 1.2))
+    s = _smooth_state(g)
+    if form == "weighted":
+        s = to_weighted_form(s, p)
+    imex_step(s, p, stable_dt(s, p, StepperConfig(1.0, 0.05, 1.0)))
+    assert operators._last_drift == stepping._last_weight == [None, None, None]
 
 
 class TestFormulationTransforms:
