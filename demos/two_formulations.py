@@ -39,7 +39,7 @@ def main():
         primitive = run(scen)
         weighted = run(replace(scen, formulation="weighted"))
         gap = equivalence_gap(primitive.recorded_states,
-                              weighted.recorded_states, scen.params)
+                              weighted.recorded_states)
         print(f"  {scen.grid.cells[0]:4d} cells, dt_max={scen.stepper.dt_max:g}: "
               f"max gap {np.max(gap.values):.3e} "
               f"(at t={gap.t[np.argmax(gap.values)]:.1f})")

@@ -1,14 +1,15 @@
 """Norms, claims, a-priori bound monitors, decay fits, and consistency gaps.
 
 Everything here observes a finished simulation and reports; nothing
-mutates or aborts a run.  The bound monitors encode the quantities the
-invasion system is known to control: total cell mass, the sup of the
-matrix density, protease mass against an exponentially relaxing
-envelope, the weighted cell mass, cellwise nonnegativity, and the lower
-barriers on cells and protease.  They read no state: each folds the
-monitor series that :func:`~.harness.run` samples once per record into
-one observed extreme, and compares it against one theoretical bound as
-a :class:`Claim`, so reports stay mechanically checkable.
+mutates or aborts a run, and every record it reads is primitive.  The
+bound monitors encode the quantities the invasion system is known to
+control: total cell mass, the sup of the matrix density, protease mass
+against an exponentially relaxing envelope, the weighted cell mass,
+cellwise nonnegativity, the lower barrier on cells, and the protease
+floor.  They read no state: each folds the monitor series that
+:func:`~.harness.run` samples once per record into one observed
+extreme, and compares it against one theoretical bound as a
+:class:`Claim`, so reports stay mechanically checkable.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .model import (
     PRIMITIVE,
-    WEIGHTED,
     Grid,
     ModelParams,
     ScalarField,
@@ -34,7 +34,7 @@ from .operators import (
     haptotaxis_divergence,
     laplacian_neumann,
 )
-from .stepping import _cell_gradient, from_weighted_form
+from .stepping import _cell_gradient
 
 __all__ = [
     "TimeSeries",
@@ -211,10 +211,10 @@ def bounds_report(series: dict[str, TimeSeries], params: ModelParams,
     (initial masses, the sup of the starting matrix density).  Each
     bound becomes one ``bound_<name>`` claim that passes when the worst
     observed value is at most the bound plus ``BOUND_SLACK`` times its
-    magnitude.  The protease lower barrier is only monitored when the
-    production function has a positive floor, and then over the final
-    three quarters of the sampled window (the barrier is eventual, so
-    the transient is excluded).
+    magnitude.  When the production function has a positive floor, one
+    more claim, ``protease_floor_positive``, asks the protease minimum
+    over the final three quarters of the sampled window (the barrier is
+    eventual) to be strictly positive: ``sigma == 0`` fails.
     """
     t = series["cell_mass"].t.tolist()
     if not t:
@@ -243,13 +243,17 @@ def bounds_report(series: dict[str, TimeSeries], params: ModelParams,
         ("positivity", 1e-12, max(-min(lows) for lows in zip(min_u, min_v, min_m))),
         ("cell_lower_bound", -barrier, -min(min_u)),
     ]
+    claims = [Claim("bound_" + name,
+                    f"a-priori bound: {name} stays within its envelope",
+                    "pass" if observed <= bound + BOUND_SLACK * abs(bound) else "fail",
+                    bound, observed)
+              for name, bound, observed in bounds]
     if g.positive_floor is not None:
-        bounds.append(("protease_lower_bound", 0.0,
-                       -sigma_estimate(series, 0.25 * t[-1])))
-    return [Claim("bound_" + name, f"a-priori bound: {name} stays within its envelope",
-                  "pass" if observed <= bound + BOUND_SLACK * abs(bound) else "fail",
-                  bound, observed)
-            for name, bound, observed in bounds]
+        sigma = sigma_estimate(series, 0.25 * t[-1])
+        claims.append(Claim("protease_floor_positive",
+                            "protease stays bounded away from zero late in the run",
+                            "pass" if sigma > 0 else "fail", 0.0, sigma))
+    return claims
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +362,8 @@ def gradv_identity_gap(state: SimState, initial: SimState) -> float:
 
 
 def equivalence_gap(primitive_states: list[SimState],
-                    weighted_states: list[SimState],
-                    params: ModelParams) -> TimeSeries:
-    """Sup-norm gap in cell density between matched runs of both forms."""
+                    weighted_states: list[SimState]) -> TimeSeries:
+    """Sup-norm gap in cell density between the (primitive) records of matched runs."""
     if len(primitive_states) != len(weighted_states) or not primitive_states:
         raise ScheduleMismatchError("runs must record the same nonzero sample count")
     t = []
@@ -370,9 +373,8 @@ def equivalence_gap(primitive_states: list[SimState],
             raise ScheduleMismatchError(f"sample times diverge: {sp.t!r} vs {sw.t!r}")
         if sp.grid != sw.grid:
             raise ValidationError("compared runs must share a grid")
-        if sp.formulation != PRIMITIVE or sw.formulation != WEIGHTED:
-            raise ValidationError("expected one primitive and one weighted run")
-        u_w = from_weighted_form(sw, params).cells
+        if sp.formulation != PRIMITIVE or sw.formulation != PRIMITIVE:
+            raise ValidationError("expected the primitive records of both runs")
         t.append(sp.t)
-        gaps.append(float(np.max(np.abs(sp.cells.values - u_w.values))))
+        gaps.append(float(np.max(np.abs(sp.cells.values - sw.cells.values))))
     return TimeSeries("equivalence_gap", np.asarray(t), np.asarray(gaps))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import Claim, TheoremReport
-from .harness import InitialSpec, RunResult, Scenario, validate_scenario
+from .harness import InitialSpec, RunResult, Scenario
 from .model import (
     FamilySpec,
     FunctionSpec,
@@ -31,7 +31,7 @@ from .model import (
     ValidationError,
     build_grid,
 )
-from .stepping import StepperConfig, as_primitive
+from .stepping import StepperConfig
 
 SECTIONS = {
     "model": {"name", "regime", "mu", "gamma", "diffusion", "taxis",
@@ -177,7 +177,7 @@ def parse_config(text: str) -> Scenario:
 
     Raises :class:`ConfigError` for structural problems (with the line
     number) and the model layer's validation errors for semantic ones,
-    including the regime-hypothesis checks.
+    including the regime hypotheses the built Scenario checks.
     """
     data = _scan(text)
 
@@ -216,7 +216,7 @@ def parse_config(text: str) -> Scenario:
     init = data["initial"]
     seed_text, seed_line = take("initial", "seed")
     jitter_text, jitter_line = take("initial", "jitter")
-    scenario = Scenario(
+    return Scenario(
         name=name, regime=regime, params=params, grid=grid, stepper=stepper,
         initial_cells=_spec(InitialSpec, "u0", *init["u0"]),
         initial_matrix=_spec(InitialSpec, "v0", *init["v0"]),
@@ -224,8 +224,6 @@ def parse_config(text: str) -> Scenario:
         seed=_int(seed_text, seed_line) if seed_text is not None else 0,
         jitter=_float(jitter_text, jitter_line) if jitter_text is not None else 0.0,
         flux_scheme=flux, formulation=formulation, source_text=text)
-    validate_scenario(scenario)
-    return scenario
 
 
 def output_dir(text: str) -> str | None:
@@ -301,7 +299,7 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
 
     series.csv and the snapshots share one table writer, whose numbers
     carry 17 significant digits, enough to reproduce the exact doubles
-    on read-back.  Snapshots always contain the primitive cell density,
+    on read-back.  Snapshots hold the run's records, which are primitive
     whichever formulation the run used.  Two records whose times agree
     to the 6 decimals of the snapshot name raise ValidationError before
     anything is touched.  Files an earlier run left that this one does
@@ -334,14 +332,13 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
 
     # every record shares the scenario's grid, so its index and coordinate
     # columns are rendered once, into the templates
-    grid, params = result.scenario.grid, result.scenario.params
+    grid = result.scenario.grid
     header = ["i", "j", "k"][:grid.dims] + ["x", "y", "z"][:grid.dims] + ["u", "v", "m"]
     indices = np.meshgrid(*(np.arange(n) for n in grid.shape), indexing="ij")
     templates = _templates(
         np.column_stack([f.ravel() for f in (*indices, *grid.centers())]), 3)
     for path, state in snapshots.items():
-        prim = as_primitive(state, params)
-        fields = (prim.cells.values, prim.ecm.values, prim.protease.values)
+        fields = (state.cells.values, state.ecm.values, state.protease.values)
         written.append(_write_table(path, header, templates,
                                     np.column_stack([f.ravel() for f in fields])))
 

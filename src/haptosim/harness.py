@@ -3,14 +3,17 @@
 A :class:`Scenario` bundles everything needed to reproduce a run: model
 coefficients, grid, step-size policy, initial-condition recipes, and a
 ``regime`` tag naming which theorem's hypotheses the setup is meant to
-satisfy.  :func:`run` drives the IMEX stepper and records named time
-series; :func:`verify` turns the recorded monitors and decay fits into
-a :class:`TheoremReport` of pass/fail claims; :func:`convergence_study`
+satisfy; building one evaluates its initial fields and checks those
+hypotheses, once.  :func:`run` drives the IMEX stepper, stores every
+record in primitive form, and samples named time series;
+:func:`verify` turns the recorded monitors and decay fits into a
+:class:`TheoremReport` of pass/fail claims; :func:`convergence_study`
 measures the observed order of accuracy against a fine-grid reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -26,7 +29,6 @@ from .analysis import (
     bounds_report,
     decay_fit,
     norm,
-    sigma_estimate,
     steady_classify,
     steady_residual,
 )
@@ -47,7 +49,8 @@ from .model import (
 from .stepping import (
     StepperConfig,
     _cell_gradient,
-    as_primitive,
+    _primitive_cells,
+    from_weighted_form,
     imex_step,
     stable_dt,
     to_weighted_form,
@@ -121,15 +124,16 @@ class InitialSpec(FamilySpec):
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully specified, reproducible run.
+    """A fully specified, reproducible run, validated when it is built.
 
     ``regime`` names the hypothesis set the initial data and
-    coefficients are required to satisfy (checked by
-    :func:`validate_scenario` before any stepping).  ``jitter`` adds
-    seeded multiplicative noise ``1 + jitter*N(0,1)`` per cell to each
-    initial field, for robustness probes; presets use 0.  ``seed`` must
-    be an integer ``>= 0``, as numpy's generator needs, whether or not
-    there is jitter to seed.
+    coefficients are required to satisfy.  ``jitter`` adds seeded
+    multiplicative noise ``1 + jitter*N(0,1)`` per cell to each initial
+    field, for robustness probes; presets use 0.  ``seed`` must be an
+    integer ``>= 0``, as numpy's generator needs, whether or not there
+    is jitter to seed.  Construction evaluates the initial fields, then
+    checks them, the step budget and the regime's hypotheses, in that
+    order.
     """
 
     name: str
@@ -165,73 +169,72 @@ class Scenario:
             if not isinstance(getattr(self, fname), InitialSpec):
                 raise ValidationError(f"{fname} must be an InitialSpec")
 
+        u0, v0, m0 = (f.values for f in self.initial_fields)
+        for label, values in (("u0", u0), ("v0", v0), ("m0", m0)):
+            # checked after the jitter, and first: a NaN passes ``min < 0``
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{label} must be finite everywhere")
+            if float(np.min(values)) < 0:
+                raise ValidationError(f"{label} must be nonnegative everywhere")
 
-def build_initial_fields(scenario: Scenario) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Evaluate the three initial fields, applying seeded jitter if any."""
-    grid = scenario.grid
-    arrays = [scenario.initial_cells.evaluate(grid),
-              scenario.initial_matrix.evaluate(grid),
-              scenario.initial_protease.evaluate(grid)]
-    if scenario.jitter > 0:
-        rng = np.random.default_rng(scenario.seed)
-        # one draw per field, in u, v, m order, so runs are reproducible
-        arrays = [a * (1.0 + scenario.jitter * rng.standard_normal(a.shape))
-                  for a in arrays]
-    return tuple(ScalarField(grid, a) for a in arrays)
+        # no run within MAX_STEPS can reach t_end past either bound: every
+        # step is at most dt_max long, and every record time needs a step of
+        # its own (or, when record_every is below run()'s eps, a loop pass)
+        cfg = self.stepper
+        for name in ("dt_max", "record_every"):
+            needed = cfg.t_end / getattr(cfg, name)
+            if needed > MAX_STEPS:
+                raise ValidationError(
+                    f"t_end / {name} needs {needed:.4g} steps, more than the "
+                    f"budget of {MAX_STEPS} steps")
 
+        params, regime = self.params, self.regime
+        g = params.production
+        if regime == "theorem_bound3":
+            if not params.growth_rate > 0:
+                raise ValidationError("mu must be positive for regime theorem_bound3")
+            if g.positive_floor is None:
+                raise ValidationError(
+                    "g must have a positive floor for regime theorem_bound3")
+            if not (float(np.min(v0)) > 0 and float(np.max(v0)) < 1):
+                raise ValidationError(
+                    "v0 must satisfy 0<v0<1 for regime theorem_bound3")
+            if not float(np.min(u0)) > 0:
+                raise ValidationError(
+                    "u0 must be strictly positive for regime theorem_bound3")
+        elif regime == "theorem_bound5":
+            if not params.growth_rate > 0:
+                raise ValidationError("mu must be positive for regime theorem_bound5")
+            if not g.vanishes_at_zero:
+                raise ValidationError("g must vanish at zero for regime theorem_bound5")
+            if not (g.family == "affine" and g.coeffs[0] == 0 and g.coeffs[1] > 0):
+                raise ValidationError(
+                    "g must be affine(0, c) with c>0 for regime theorem_bound5")
+        elif regime == "mu_zero_conservation":
+            if params.growth_rate != 0:
+                raise ValidationError("mu must be zero for regime mu_zero_conservation")
+        elif regime == "byrne_baseline":
+            if params.taxis.family != "constant":
+                raise ValidationError("chi must be constant for regime byrne_baseline")
+            if not (g.family == "affine" and g.coeffs == (0.0, 1.0)):
+                raise ValidationError("g must be affine(0,1) for regime byrne_baseline")
 
-def validate_scenario(scenario: Scenario) -> tuple[ScalarField, ScalarField, ScalarField]:
-    """Check the regime's hypotheses; returns the evaluated initial fields."""
-    u0, v0, m0 = build_initial_fields(scenario)
-    for label, f in (("u0", u0), ("v0", v0), ("m0", m0)):
-        # checked after the jitter, and first: a NaN passes ``min < 0``
-        if not np.isfinite(f.values).all():
-            raise ValidationError(f"{label} must be finite everywhere")
-        if float(np.min(f.values)) < 0:
-            raise ValidationError(f"{label} must be nonnegative everywhere")
-
-    # no run within MAX_STEPS can reach t_end past either bound: every
-    # step is at most dt_max long, and every record time needs a step of
-    # its own (or, when record_every is below run()'s eps, a loop pass)
-    cfg = scenario.stepper
-    for name in ("dt_max", "record_every"):
-        needed = cfg.t_end / getattr(cfg, name)
-        if needed > MAX_STEPS:
-            raise ValidationError(
-                f"t_end / {name} needs {needed:.4g} steps, more than the "
-                f"budget of {MAX_STEPS} steps")
-
-    params, regime = scenario.params, scenario.regime
-    g = params.production
-    if regime == "theorem_bound3":
-        if not params.growth_rate > 0:
-            raise ValidationError("mu must be positive for regime theorem_bound3")
-        if g.positive_floor is None:
-            raise ValidationError(
-                "g must have a positive floor for regime theorem_bound3")
-        if not (float(np.min(v0.values)) > 0 and float(np.max(v0.values)) < 1):
-            raise ValidationError(
-                "v0 must satisfy 0<v0<1 for regime theorem_bound3")
-        if not float(np.min(u0.values)) > 0:
-            raise ValidationError(
-                "u0 must be strictly positive for regime theorem_bound3")
-    elif regime == "theorem_bound5":
-        if not params.growth_rate > 0:
-            raise ValidationError("mu must be positive for regime theorem_bound5")
-        if not g.vanishes_at_zero:
-            raise ValidationError("g must vanish at zero for regime theorem_bound5")
-        if not (g.family == "affine" and g.coeffs[0] == 0 and g.coeffs[1] > 0):
-            raise ValidationError(
-                "g must be affine(0, c) with c>0 for regime theorem_bound5")
-    elif regime == "mu_zero_conservation":
-        if params.growth_rate != 0:
-            raise ValidationError("mu must be zero for regime mu_zero_conservation")
-    elif regime == "byrne_baseline":
-        if params.taxis.family != "constant":
-            raise ValidationError("chi must be constant for regime byrne_baseline")
-        if not (g.family == "affine" and g.coeffs == (0.0, 1.0)):
-            raise ValidationError("g must be affine(0,1) for regime byrne_baseline")
-    return u0, v0, m0
+    # evaluated by __post_init__, which validates it; like Grid's cached
+    # values it lands in the instance dict and stays out of eq and hash
+    @functools.cached_property
+    def initial_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
+        """The initial ``u``, ``v``, ``m``, jittered if asked, as read-only arrays."""
+        arrays = [self.initial_cells.evaluate(self.grid),
+                  self.initial_matrix.evaluate(self.grid),
+                  self.initial_protease.evaluate(self.grid)]
+        if self.jitter > 0:
+            rng = np.random.default_rng(self.seed)
+            # one draw per field, in u, v, m order, so runs are reproducible
+            arrays = [a * (1.0 + self.jitter * rng.standard_normal(a.shape))
+                      for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False
+        return tuple(ScalarField(self.grid, a) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +303,7 @@ def preset_names() -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A completed run: sampled states plus the named monitor series."""
+    """A completed run: its records, in primitive form, and the named monitor series."""
 
     scenario: Scenario
     recorded_states: list[SimState]
@@ -329,17 +332,18 @@ def _series_samples(state: SimState, params: ModelParams, u_bar: float,
                     m_star: float) -> dict[str, float]:
     """Every monitor of one record; the only place a record is measured.
 
-    The taxis weight ``z`` is evaluated once and gives both the
-    primitive density ``u`` and the weighted one ``w = u * z``.
+    ``state`` is the stepped state, in either form.  A primitive one
+    evaluates the taxis weight ``z`` once, for ``w = u * z``.  A weighted
+    one divides by the ``z`` that converting it to its record has just
+    left in the stepper's one-slot cache.
     """
     v, m = state.ecm, state.protease
-    z = taxis_weight(v, params.taxis).values
     if state.formulation == PRIMITIVE:
         u = state.cells
-        w = u.with_values(u.values * z)
+        w = u.with_values(u.values * taxis_weight(v, params.taxis).values)
     else:
         w = state.cells
-        u = w.with_values(w.values / z)
+        u = w.with_values(_primitive_cells(state, params))
     dev = u.with_values(u.values - u_bar)
     sqrt_v = v.with_values(np.sqrt(np.maximum(v.values, 0.0)))
     return {
@@ -365,21 +369,28 @@ def run(scenario: Scenario) -> RunResult:
     growth is on, the (conserved) discrete mean of u0 when it is off.
     Records land exactly on the sampling schedule because the step is
     shortened to hit each record time; the final time is always
-    recorded.
+    recorded.  Every record is stored in primitive form: a weighted run
+    converts each record once, here, and nothing downstream converts.
     """
-    u0, v0, m0 = validate_scenario(scenario)
+    u0, v0, m0 = scenario.initial_fields
     params, cfg = scenario.params, scenario.stepper
     u_bar = 1.0 if params.growth_rate > 0 else float(np.mean(u0.values))
     m_star = u_bar * float(params.production(0.0)) / params.protease_decay
 
     state = initial_state(u0, v0, m0)
-    if scenario.formulation == WEIGHTED:
+    weighted = scenario.formulation == WEIGHTED
+    if weighted:
         state = to_weighted_form(state, params)
+
+    records, samples = [], []
+
+    def record(state: SimState) -> None:
+        records.append(from_weighted_form(state, params) if weighted else state)
+        samples.append(_series_samples(state, params, u_bar, m_star))
 
     t_end = cfg.t_end
     eps = 1e-9 * max(1.0, t_end)
-    records = [state]
-    samples = [_series_samples(state, params, u_bar, m_star)]
+    record(state)
     start = time.perf_counter()
 
     k, steps = 1, 0
@@ -394,8 +405,7 @@ def run(scenario: Scenario) -> RunResult:
         if steps > MAX_STEPS:
             raise RuntimeError(f"step budget exhausted at t={state.t:g}")
         if target - state.t <= eps:
-            records.append(state)
-            samples.append(_series_samples(state, params, u_bar, m_star))
+            record(state)
             k += 1
     wall = time.perf_counter() - start
 
@@ -454,7 +464,6 @@ def verify(result: RunResult) -> TheoremReport:
 
 def _bound3_claims(result: RunResult) -> list[Claim]:
     params = result.scenario.params
-    t_end = result.scenario.stepper.t_end
     claims = []
 
     fit_v = _fit_or_none(result.series["matrix_sup"])
@@ -492,12 +501,7 @@ def _bound3_claims(result: RunResult) -> list[Claim]:
         "gradient of the matrix square root decays at a positive rate",
         _fit_or_none(result.series["grad_sqrt_matrix_l2"])))
 
-    sigma = sigma_estimate(result.series, 0.25 * t_end)
-    claims.append(Claim("protease_floor_positive",
-                        "protease stays bounded away from zero late in the run",
-                        "pass" if sigma > 0 else "fail", 0.0, sigma))
-
-    final = as_primitive(result.final_state, params)
+    final = result.final_state
     residual = steady_residual(final, params)
     claims.append(Claim("final_steady_residual",
                         "final state satisfies the stationary equations",
@@ -552,9 +556,7 @@ def _mu_zero_claims(result: RunResult) -> list[Claim]:
                         "total cell mass is conserved to relative 1e-9",
                         "pass" if drift <= 1e-9 else "fail", 1e-9, drift))
 
-    params = result.scenario.params
-    first = as_primitive(result.initial_state, params)
-    gap = abs(result.u_bar - float(np.mean(first.cells.values)))
+    gap = abs(result.u_bar - float(np.mean(result.initial_state.cells.values)))
     claims.append(Claim("cell_mean_matches_initial",
                         "deviation target equals the initial mean exactly",
                         "pass" if gap <= 1e-14 else "fail", 1e-14, gap))
@@ -606,7 +608,8 @@ def convergence_study(scenario: Scenario, levels: int = 3) -> ConvergenceStudy:
     second-order clip as the spatial terms and the measured order
     reflects the spatial discretization.  Errors are volume-weighted
     L2 differences of the final cell density against the cell-averaged
-    restriction of the finest run.
+    restriction of the finest run.  Every level is built, and so
+    validated, before any is run.
     """
     if levels < 3:
         raise ValidationError(f"levels must be >= 3, got {levels}")
@@ -615,17 +618,16 @@ def convergence_study(scenario: Scenario, levels: int = 3) -> ConvergenceStudy:
                               "set jitter to 0")
 
     base_grid, base_cfg = scenario.grid, scenario.stepper
-    finals = []
-    grids = []
-    for lev in range(levels):
-        f = 2 ** lev
-        grid = Grid(tuple(n * f for n in base_grid.cells),
-                    base_grid.extents, base_grid.origin)
-        cfg = StepperConfig(base_cfg.t_end, base_cfg.dt_max / 4 ** lev,
-                            base_cfg.t_end, base_cfg.cfl)
-        result = run(replace(scenario, grid=grid, stepper=cfg, source_text=None))
-        finals.append(as_primitive(result.final_state, scenario.params).cells.values)
-        grids.append(grid)
+    scenarios = [
+        replace(scenario,
+                grid=Grid(tuple(n * 2 ** lev for n in base_grid.cells),
+                          base_grid.extents, base_grid.origin),
+                stepper=StepperConfig(base_cfg.t_end, base_cfg.dt_max / 4 ** lev,
+                                      base_cfg.t_end, base_cfg.cfl),
+                source_text=None)
+        for lev in range(levels)]
+    finals = [run(level).final_state.cells.values for level in scenarios]
+    grids = [level.grid for level in scenarios]
 
     rows = []
     prev_error = None

@@ -36,12 +36,14 @@ class ValidationError(ValueError):
     """Raised when grid, field, coefficient, or parameter data is invalid."""
 
 
-def _as_tuple(value, dims: int, kind: type) -> tuple:
+def _as_tuple(value, dims: int, kind: type, name: str) -> tuple:
+    """``value`` once per axis: a scalar is broadcast, a sequence must match."""
     if isinstance(value, (int, float)):
         return tuple(kind(value) for _ in range(dims))
     out = tuple(kind(x) for x in value)
     if len(out) != dims:
-        raise ValidationError(f"expected {dims} entries, got {len(out)}")
+        raise ValidationError(
+            f"{name} has {len(out)} entries, but cells has {dims}")
     return out
 
 
@@ -122,8 +124,8 @@ def build_grid(cells: int | Sequence[int],
         cells = (int(cells),)
     cells_t = tuple(int(n) for n in cells)
     dims = len(cells_t)
-    extents_t = _as_tuple(extents, dims, float)
-    origin_t = _as_tuple(origin, dims, float)
+    extents_t = _as_tuple(extents, dims, float, "extents")
+    origin_t = _as_tuple(origin, dims, float, "origin")
     return Grid(cells_t, extents_t, origin_t)
 
 

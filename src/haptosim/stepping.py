@@ -15,7 +15,8 @@ The primitive one integrates the cell density ``u`` directly, with the
 donor-cell drift flux.  The weighted one integrates
 ``w = u * exp(-int_0^v chi)``, whose equation trades the drift
 divergence for a first-order transport term plus reaction terms; it
-exists to cross-check the primitive discretization.
+exists to cross-check the primitive discretization.  Only this module
+and the run loop, which stores every record primitive, see it.
 
 Each step also accumulates ``int_0^t m`` per cell by the trapezoid
 rule, which feeds the exact-decay identity checks on the matrix.  The
@@ -27,8 +28,9 @@ Each per-step quantity is computed once.  :func:`stable_dt` evaluates
 the face drift velocities of a primitive state, or the taxis weight of
 a weighted one; :func:`imex_step` on the same state finds them in
 one-slot caches keyed on the identity of the matrix field and of
-``chi``, and empties both before its solves.  Nothing is stored on a
-field, and nothing is kept past the step.
+``chi``, and empties both before its solves.  :func:`from_weighted_form`
+fills the weight slot too, for the record's sampler and the next step.
+Nothing is stored on a field.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ __all__ = [
     "imex_step",
     "to_weighted_form",
     "from_weighted_form",
-    "as_primitive",
 ]
 
 DENOM_FLOOR = 1e-14
@@ -153,10 +154,10 @@ def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
             for d, comp in enumerate(gradient_faces(f))]
 
 
-# The taxis weight of the last ``(v, chi)`` asked for, so a weighted step's
-# dt guard and its update divide by one evaluation.  Like
-# ``operators._last_drift``, the slot holds ``v`` and ``chi`` themselves,
-# and ``imex_step`` empties it before its solves.
+# The taxis weight of the last ``(v, chi)`` asked for, so a weighted record,
+# its samples, and the next step's dt guard and update divide by one
+# evaluation.  Like ``operators._last_drift``, the slot holds ``v`` and
+# ``chi`` themselves, and ``imex_step`` empties it before its solves.
 _last_weight: list = [None, None, None]
 
 
@@ -249,15 +250,8 @@ def to_weighted_form(state: SimState, params: ModelParams) -> SimState:
 
 
 def from_weighted_form(state: SimState, params: ModelParams) -> SimState:
-    """Recover the primitive cell density from a weighted-form state."""
+    """Recover the primitive cell density; the weight stays in the one-slot cache."""
     if state.formulation != WEIGHTED:
         raise ValidationError("state is not in weighted form")
     return replace(state, cells=state.cells.with_values(_primitive_cells(state, params)),
                    formulation=PRIMITIVE)
-
-
-def as_primitive(state: SimState, params: ModelParams) -> SimState:
-    """The state in primitive form: unchanged if it already is, else converted."""
-    if state.formulation == PRIMITIVE:
-        return state
-    return from_weighted_form(state, params)

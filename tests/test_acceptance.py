@@ -220,7 +220,7 @@ def test_criterion_7_formulation_equivalence():
         prim = run(scen)
         weighted = run(replace(scen, formulation="weighted"))
         series = equivalence_gap(prim.recorded_states,
-                                 weighted.recorded_states, scen.params)
+                                 weighted.recorded_states)
         gaps.append(float(np.max(series.values)))
     factor = gaps[0] / gaps[1]
     ok = gaps[0] <= 5e-3 and factor >= 1.5

@@ -31,7 +31,7 @@ from haptosim.analysis import (
     steady_residual,
 )
 from haptosim.harness import SERIES_NAMES, _series_samples
-from haptosim.stepping import to_weighted_form
+from haptosim.stepping import from_weighted_form, to_weighted_form
 
 
 def unit_grid(n=16):
@@ -229,15 +229,21 @@ def test_sigma_estimate_no_samples():
 def bounds(states, params):
     """The bound claims on ``states``, as a report to look them up in."""
     claims = bounds_report(sampled(states, params), params, states[0].grid)
-    assert all(c.claim_id.startswith("bound_") for c in claims)
+    # every bound is a bound_<name> claim, and the protease floor one more
+    assert all(c.claim_id.startswith("bound_") for c in claims
+               if c.claim_id != "protease_floor_positive")
     return TheoremReport("custom", tuple(claims))
 
 
 def test_bounds_all_zero_data_trivially_satisfied():
     grid = unit_grid()
     hist = [state_of(grid, 0.0, 0.0, 0.0, t=float(t)) for t in range(3)]
-    report = bounds(hist, params_with())
+    report = bounds(hist, params_with(g=FunctionSpec.affine(0.0, 1.0)))
     assert report.all_pass
+    # under a production floor, zero protease is no floor: that claim alone fails
+    report = bounds(hist, params_with())
+    assert [c.claim_id for c in report.claims if c.verdict == "fail"] == [
+        "protease_floor_positive"]
 
 
 def test_bounds_mass_threshold_uses_domain_volume():
@@ -338,9 +344,13 @@ def test_bounds_protease_floor_record_only_with_positive_floor():
     hist = [state_of(grid, 1.0, 0.5, 0.1)]
     no_floor = bounds(hist, params_with(g=FunctionSpec.affine(0.0, 1.0)))
     with pytest.raises(KeyError):
-        no_floor.claim("bound_protease_lower_bound")
+        no_floor.claim("protease_floor_positive")
     with_floor = bounds(hist, params_with(g=FunctionSpec.affine(1.0, 1.0)))
-    assert with_floor.claim("bound_protease_lower_bound").verdict == "pass"
+    ids = [c.claim_id for c in with_floor.claims]
+    assert ids.count("protease_floor_positive") == 1
+    assert "bound_protease_lower_bound" not in ids
+    claim = with_floor.claim("protease_floor_positive")
+    assert (claim.verdict, claim.threshold, claim.measured) == ("pass", 0.0, 0.1)
 
 
 def test_bounds_protease_floor_ignores_transient():
@@ -351,9 +361,24 @@ def test_bounds_protease_floor_ignores_transient():
     m0[0] = 0.0
     hist = [state_of(grid, 1.0, 0.5, m0, t=0.0),
             state_of(grid, 1.0, 0.4, 0.2, t=10.0)]
-    claim = bounds(hist, params_with()).claim("bound_protease_lower_bound")
-    assert claim.measured == pytest.approx(-0.2)
+    claim = bounds(hist, params_with()).claim("protease_floor_positive")
+    assert claim.measured == pytest.approx(0.2)
     assert claim.verdict == "pass"
+
+
+@pytest.mark.parametrize("late_min, verdict", [(0.0, "fail"), (-0.0, "fail"),
+                                               (5e-324, "pass")])
+def test_protease_floor_claim_is_strict(late_min, verdict):
+    # the floor must be bounded away from zero, so a late minimum of exactly
+    # zero fails, and the smallest positive double passes
+    grid = unit_grid(8)
+    m1 = np.full(8, 0.2)
+    m1[3] = late_min
+    hist = [state_of(grid, 1.0, 0.5, 0.1, t=0.0),
+            state_of(grid, 1.0, 0.4, m1, t=10.0)]
+    claim = bounds(hist, params_with()).claim("protease_floor_positive")
+    assert claim.measured == late_min
+    assert claim.verdict == verdict
 
 
 def test_bounds_accept_weighted_history():
@@ -529,40 +554,43 @@ def test_gradv_identity_requires_matching_grid():
 
 
 def test_equivalence_gap_zero_for_matched_start():
+    # a round trip through the weighted form recovers u to roundoff
     grid = unit_grid(32)
     p = params_with()
     x = grid.axis_centers(0)
     u0 = 1.0 + 0.2 * np.exp(-((x - 0.5) ** 2) / 0.02)
     prim = state_of(grid, u0, 0.5, 0.1)
-    series = equivalence_gap([prim], [to_weighted_form(prim, p)], p)
+    back = from_weighted_form(to_weighted_form(prim, p), p)
+    series = equivalence_gap([prim], [back])
     assert series.values[0] <= 1e-14
 
 
 def test_equivalence_gap_measures_density_difference():
     grid = unit_grid(8)
-    c = 0.8
-    p = params_with(chi=FunctionSpec.constant(c))
-    prim = state_of(grid, 1.0, 1.0, 0.1)
-    wgt = state_of(grid, 2.0 * math.exp(-c), 1.0, 0.1, formulation="weighted")
-    series = equivalence_gap([prim], [wgt], p)
-    assert series.values[0] == pytest.approx(1.0, rel=1e-12)
+    series = equivalence_gap([state_of(grid, 1.0, 1.0, 0.1)],
+                             [state_of(grid, 2.0, 1.0, 0.1)])
+    assert series.values[0] == 1.0
 
 
 def test_equivalence_gap_schedule_mismatch():
     grid = unit_grid(8)
-    p = params_with()
     prim = state_of(grid, 1.0, 0.5, 0.1, t=0.0)
-    wgt = to_weighted_form(state_of(grid, 1.0, 0.5, 0.1, t=0.0), p)
-    late = SimState(1.0, wgt.cells, wgt.ecm, wgt.protease, formulation="weighted")
+    other = state_of(grid, 1.0, 0.5, 0.1, t=0.0)
+    late = state_of(grid, 1.0, 0.5, 0.1, t=1.0)
     with pytest.raises(ScheduleMismatchError):
-        equivalence_gap([prim], [late], p)
+        equivalence_gap([prim], [late])
     with pytest.raises(ScheduleMismatchError):
-        equivalence_gap([prim], [wgt, late], p)
+        equivalence_gap([prim], [other, late])
 
 
 def test_equivalence_gap_checks_formulations():
+    # both runs hand over their primitive records; a weighted state on
+    # either side is rejected, not converted
     grid = unit_grid(8)
     p = params_with()
     prim = state_of(grid, 1.0, 0.5, 0.1)
-    with pytest.raises(ValidationError):
-        equivalence_gap([prim], [prim], p)
+    wgt = to_weighted_form(prim, p)
+    for pair in ([prim], [wgt]), ([wgt], [prim]), ([wgt], [wgt]):
+        with pytest.raises(ValidationError, match="primitive records of both runs"):
+            equivalence_gap(*pair)
+    assert equivalence_gap([prim], [prim]).values[0] == 0.0

@@ -30,7 +30,7 @@ from haptosim.harness import (
     run,
 )
 from haptosim.model import WEIGHTED, ScalarField, SimState
-from haptosim.stepping import StepperConfig, as_primitive
+from haptosim.stepping import StepperConfig
 
 BASE = {
     "model": {"regime": "custom", "mu": "1.0", "gamma": "1.0",
@@ -116,6 +116,44 @@ def test_parse_two_dimensional_grid():
     assert s.grid.cells == (8, 12)
     assert s.grid.extents == (1.0, 2.0)
     assert s.grid.origin == (0.0, -0.5)
+
+
+@pytest.mark.parametrize("formulation", ["primitive", "weighted"])
+def test_parse_and_run_evaluate_the_initial_fields_once(formulation, monkeypatch):
+    # the scenario validates itself as parse_config builds it, and run
+    # starts from the fields it kept: one evaluation per field in all
+    calls = []
+    evaluate = InitialSpec.evaluate
+
+    def counted(self, grid):
+        calls.append(self.family)
+        return evaluate(self, grid)
+    monkeypatch.setattr(InitialSpec, "evaluate", counted)
+    scenario = parse_config(config_text(model__formulation=formulation,
+                                        initial__jitter="0.01"))
+    assert len(calls) == 3
+    result = run(scenario)
+    assert len(calls) == 3
+    assert result.initial_state.ecm.values is scenario.initial_fields[1].values
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("grid__extent", "1.0, 2.0, 3.0", "extents has 3 entries, but cells has 2"),
+    ("grid__origin", "0.0", None),
+    ("grid__origin", "0.0, 0.5, 1.0", "origin has 3 entries, but cells has 2"),
+], ids=["extent", "scalar-origin", "origin"])
+def test_grid_length_errors_name_the_argument(key, value, message, tmp_path, capsys):
+    text = config_text(**{"grid__cells": "8, 8", "grid__extent": "1.0, 2.0",
+                          key: value})
+    cfg = write_config(tmp_path, text)
+    if message is None:  # a single entry is broadcast to every axis
+        assert parse_config(text).grid.origin == (0.0, 0.0)
+        return
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        parse_config(text)
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -439,11 +477,11 @@ def test_snapshots_read_back_exactly(cells, extent, formulation, tmp_path):
         path = tmp_path / "snapshots" / f"state_{state.t:.6f}.csv"
         assert path.read_text().split("\n", 1)[0] == ",".join(names)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        prim = as_primitive(state, scenario.params)
+        assert state.formulation == "primitive"
         indices = np.meshgrid(*(np.arange(n) for n in grid.shape), indexing="ij")
         expected = np.column_stack(
-            [f.ravel() for f in (*indices, *grid.centers(), prim.cells.values,
-                                 prim.ecm.values, prim.protease.values)])
+            [f.ravel() for f in (*indices, *grid.centers(), state.cells.values,
+                                 state.ecm.values, state.protease.values)])
         np.testing.assert_array_equal(table, expected)
 
 

@@ -13,8 +13,9 @@ from haptosim import (
     ValidationError,
     build_grid,
     initial_state,
+    taxis_weight,
 )
-from haptosim import harness
+from haptosim import harness, stepping
 from haptosim.analysis import TimeSeries
 from haptosim.harness import (
     MAX_STEPS,
@@ -22,12 +23,10 @@ from haptosim.harness import (
     InitialSpec,
     RunResult,
     Scenario,
-    build_initial_fields,
     convergence_study,
     preset_names,
     preset_scenario,
     run,
-    validate_scenario,
     verify,
 )
 from haptosim.model import PRIMITIVE, WEIGHTED
@@ -162,9 +161,8 @@ def test_scenario_accepts_numpy_integer_seed():
 
 
 def test_validate_rejects_negative_initial_field():
-    sc = quick_scenario(m0=InitialSpec.constant(-0.2))
     with pytest.raises(ValidationError, match="m0 must be nonnegative"):
-        validate_scenario(sc)
+        quick_scenario(m0=InitialSpec.constant(-0.2))
 
 
 @pytest.mark.parametrize("label, spec", [
@@ -176,83 +174,72 @@ def test_validate_rejects_negative_initial_field():
 def test_validate_rejects_non_finite_initial_field(label, spec):
     # a NaN slips past the nonnegativity check, and -inf must be reported
     # as non-finite rather than negative
-    sc = quick_scenario(**{label: spec})
     with pytest.raises(ValidationError, match=f"{label} must be finite everywhere"):
-        validate_scenario(sc)
+        quick_scenario(**{label: spec})
 
 
 def test_validate_rejects_field_made_non_finite_by_jitter():
     # 1e308 * (1 + N(0,1)) overflows to inf wherever the draw exceeds about 0.8
     spec = InitialSpec.constant(1e308)
-    sc = quick_scenario(u0=spec, jitter=1.0, seed=0)
-    assert np.isfinite(spec.evaluate(sc.grid)).all()
+    assert np.isfinite(spec.evaluate(build_grid(16, 1.0))).all()
     with np.errstate(over="ignore"):
         with pytest.raises(ValidationError, match="u0 must be finite everywhere"):
-            validate_scenario(sc)
+            quick_scenario(u0=spec, jitter=1.0, seed=0)
 
 
 def test_bound3_regime_needs_positive_mu():
-    sc = quick_scenario(regime="theorem_bound3", mu=0.0)
     with pytest.raises(ValidationError,
                        match="mu must be positive for regime theorem_bound3"):
-        validate_scenario(sc)
+        quick_scenario(regime="theorem_bound3", mu=0.0)
 
 
 def test_bound3_regime_needs_matrix_strictly_inside_unit_interval():
-    sc = quick_scenario(regime="theorem_bound3",
-                        v0=InitialSpec.bump(0.5, 0.15, 0.5, 0.6))
     with pytest.raises(ValidationError,
                        match="v0 must satisfy 0<v0<1 for regime theorem_bound3"):
-        validate_scenario(sc)
+        quick_scenario(regime="theorem_bound3",
+                       v0=InitialSpec.bump(0.5, 0.15, 0.5, 0.6))
 
 
 def test_bound3_regime_needs_cells_bounded_away_from_zero():
-    sc = quick_scenario(regime="theorem_bound3",
-                        u0=InitialSpec.constant(0.0))
     with pytest.raises(ValidationError,
                        match="u0 must be strictly positive"):
-        validate_scenario(sc)
+        quick_scenario(regime="theorem_bound3", u0=InitialSpec.constant(0.0))
 
 
 def test_bound3_regime_needs_production_floor():
-    sc = quick_scenario(regime="theorem_bound3", g=FunctionSpec.affine(0.0, 1.0))
     with pytest.raises(ValidationError, match="positive floor"):
-        validate_scenario(sc)
+        quick_scenario(regime="theorem_bound3", g=FunctionSpec.affine(0.0, 1.0))
 
 
 def test_bound5_regime_needs_vanishing_production():
-    sc = quick_scenario(regime="theorem_bound5", g=FunctionSpec.affine(1.0, 1.0))
     with pytest.raises(ValidationError,
                        match="g must vanish at zero for regime theorem_bound5"):
-        validate_scenario(sc)
+        quick_scenario(regime="theorem_bound5", g=FunctionSpec.affine(1.0, 1.0))
 
 
 def test_mu_zero_regime_rejects_growth():
-    sc = quick_scenario(regime="mu_zero_conservation", mu=1.0,
-                        g=FunctionSpec.affine(0.0, 1.0))
     with pytest.raises(ValidationError,
                        match="mu must be zero for regime mu_zero_conservation"):
-        validate_scenario(sc)
+        quick_scenario(regime="mu_zero_conservation", mu=1.0,
+                       g=FunctionSpec.affine(0.0, 1.0))
 
 
 def test_byrne_regime_needs_constant_taxis():
-    sc = quick_scenario(regime="byrne_baseline",
-                        chi=FunctionSpec.affine(0.1, 0.2),
-                        g=FunctionSpec.affine(0.0, 1.0))
     with pytest.raises(ValidationError, match="chi must be constant"):
-        validate_scenario(sc)
+        quick_scenario(regime="byrne_baseline",
+                       chi=FunctionSpec.affine(0.1, 0.2),
+                       g=FunctionSpec.affine(0.0, 1.0))
 
 
 def test_byrne_regime_needs_unit_affine_production():
-    sc = quick_scenario(regime="byrne_baseline", g=FunctionSpec.affine(0.0, 2.0))
     with pytest.raises(ValidationError, match=r"affine\(0,1\)"):
-        validate_scenario(sc)
+        quick_scenario(regime="byrne_baseline", g=FunctionSpec.affine(0.0, 2.0))
 
 
 def test_jitter_is_seeded_and_reproducible():
-    a = build_initial_fields(quick_scenario(jitter=0.01, seed=7))
-    b = build_initial_fields(quick_scenario(jitter=0.01, seed=7))
-    c = build_initial_fields(quick_scenario(jitter=0.01, seed=8))
+    a = quick_scenario(jitter=0.01, seed=7).initial_fields
+    b = quick_scenario(jitter=0.01, seed=7).initial_fields
+    c = quick_scenario(jitter=0.01, seed=8).initial_fields
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.values, fb.values)
     assert not np.array_equal(a[0].values, c[0].values)
@@ -260,8 +247,28 @@ def test_jitter_is_seeded_and_reproducible():
 
 def test_zero_jitter_reproduces_recipe_exactly():
     sc = quick_scenario(jitter=0.0, seed=3)
-    u0, _, _ = build_initial_fields(sc)
+    u0, _, _ = sc.initial_fields
     assert np.array_equal(u0.values, sc.initial_cells.evaluate(sc.grid))
+
+
+def test_initial_fields_are_read_only_and_outside_equality():
+    a = quick_scenario(jitter=0.01, seed=7)
+    b = quick_scenario(jitter=0.01, seed=7)
+    assert a == b and hash(a) == hash(b)
+    assert a.initial_fields[0] is not b.initial_fields[0]
+    for field in a.initial_fields:
+        assert not field.values.flags.writeable
+        with pytest.raises(ValueError):
+            field.values[0] = 0.0
+    # replace builds a new scenario, with fields of its own
+    c = replace(a, seed=8)
+    assert not np.array_equal(c.initial_fields[0].values, a.initial_fields[0].values)
+
+
+def test_replace_validates_the_new_scenario():
+    sc = quick_scenario(regime="theorem_bound3")
+    with pytest.raises(ValidationError, match="mu must be positive"):
+        replace(sc, params=quick_params(mu=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +283,14 @@ def test_zero_jitter_reproduces_recipe_exactly():
 def test_validate_rejects_schedule_beyond_step_budget(stepper, message):
     # a tiny dt_max would run 2e7 steps before the budget guard fires; a
     # record_every below eps spins the record loop without taking a step
-    sc = quick_scenario(**stepper)
     with pytest.raises(ValidationError, match=re.escape(message)) as info:
-        validate_scenario(sc)
+        quick_scenario(**stepper)
     assert f"budget of {MAX_STEPS} steps" in str(info.value)
 
 
 def test_validate_accepts_schedule_at_step_budget():
     assert 1.0 / 1e-7 == MAX_STEPS
-    validate_scenario(quick_scenario(t_end=1.0, dt_max=1e-7, record_every=1e-7))
+    quick_scenario(t_end=1.0, dt_max=1e-7, record_every=1e-7)
 
 
 def test_run_rejects_schedule_beyond_step_budget_before_stepping(monkeypatch):
@@ -297,9 +303,8 @@ def test_run_rejects_schedule_beyond_step_budget_before_stepping(monkeypatch):
 
 def test_presets_all_validate():
     for name in preset_names():
-        sc = preset_scenario(name)
-        assert sc.regime == name
-        validate_scenario(sc)
+        # building a preset validates it
+        assert preset_scenario(name).regime == name
 
 
 def test_preset_parameters_match_their_regimes():
@@ -391,12 +396,62 @@ def test_run_is_deterministic():
 def test_run_weighted_formulation_tracks_primitive():
     prim = run(quick_scenario(t_end=0.5))
     wgt = run(quick_scenario(t_end=0.5, formulation=WEIGHTED))
-    assert wgt.recorded_states[0].formulation == WEIGHTED
+    # a weighted run stores its records primitive, like a primitive run
+    assert all(s.formulation == PRIMITIVE for s in wgt.recorded_states)
     # series are computed on the primitive density either way; the two
     # discretizations only agree to first order in h and dt, and this
     # smoke test runs very coarse
     gap = np.abs(prim.series["cell_mass"].values - wgt.series["cell_mass"].values)
     assert np.max(gap) <= 1e-2
+
+
+def stepped_states(monkeypatch):
+    """Every state a run steps through, in its own form, keyed by time."""
+    states = {}
+
+    def keep(fn):
+        def wrapper(*args, **kwargs):
+            state = fn(*args, **kwargs)
+            states[state.t] = state
+            return state
+        return wrapper
+    monkeypatch.setattr(harness, "to_weighted_form", keep(harness.to_weighted_form))
+    monkeypatch.setattr(harness, "imex_step", keep(harness.imex_step))
+    return states
+
+
+@pytest.mark.parametrize("cells", [16, (8, 6)], ids=["1d", "2d"])
+def test_run_stores_weighted_records_primitive_bit_for_bit(cells, monkeypatch):
+    sc = quick_scenario(cells=cells, formulation=WEIGHTED,
+                        chi=FunctionSpec.affine(0.3, 0.7))
+    stepped = stepped_states(monkeypatch)
+    res = run(sc)
+    assert len(res.recorded_states) == 6
+    for record in res.recorded_states:
+        state = stepped[record.t]
+        assert state.formulation == WEIGHTED
+        assert record.formulation == PRIMITIVE
+        z = taxis_weight(state.ecm, sc.params.taxis).values
+        assert np.array_equal(record.cells.values, state.cells.values / z)
+        assert record.ecm is state.ecm and record.protease is state.protease
+        assert record.int_protease is state.int_protease
+
+
+def test_weighted_run_evaluates_the_taxis_weight_once_per_record(monkeypatch):
+    # every step lands on a record: the switch to the weighted form takes
+    # one evaluation, and each record's conversion one more, which its
+    # sampler and the next step's guards reuse
+    calls = []
+
+    def counted(v, chi):
+        calls.append(v)
+        return taxis_weight(v, chi)
+    for module in (harness, stepping):
+        monkeypatch.setattr(module, "taxis_weight", counted)
+    res = run(quick_scenario(formulation=WEIGHTED, t_end=0.5, dt_max=0.05,
+                             record_every=0.05, u0=InitialSpec.constant(0.5)))
+    assert len(res.recorded_states) == 11
+    assert len(calls) == 1 + 11
 
 
 def test_run_centered_flux_differs_from_upwind():
@@ -407,9 +462,9 @@ def test_run_centered_flux_differs_from_upwind():
 
 
 def test_run_validates_regime_hypotheses_up_front():
-    sc = quick_scenario(regime="theorem_bound3", mu=0.0)
+    # the scenario checks them as it is built, so no run starts without them
     with pytest.raises(ValidationError, match="mu must be positive"):
-        run(sc)
+        run(quick_scenario(regime="theorem_bound3", mu=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +630,12 @@ def test_report_claim_lookup_raises_on_unknown_id():
         report.claim("bound_perpetual_motion")
 
 
+def test_bound3_report_holds_the_protease_floor_once():
+    ids = [c.claim_id for c in verify(synthetic_bound3_result()).claims]
+    assert ids.count("protease_floor_positive") == 1
+    assert "bound_protease_lower_bound" not in ids
+
+
 def test_claims_appear_exactly_once():
     report = verify(synthetic_bound3_result())
     ids = [c.claim_id for c in report.claims]
@@ -621,6 +682,19 @@ def test_convergence_halves_h_and_quarters_dt():
     study = convergence_study(diffusion_scenario(), levels=3)
     assert study.rows[0].h == pytest.approx(2 * study.rows[1].h)
     assert study.rows[0].dt_max == pytest.approx(4 * study.rows[1].dt_max)
+
+
+def test_convergence_validates_every_level_before_running_any(monkeypatch):
+    # level 2 quarters dt_max twice: 10 / (1.5e-5 / 16) is 1.067e7 steps,
+    # over the budget, while levels 0 and 1 would have run 6.7e5 and 2.7e6
+    def no_run(scenario):
+        raise AssertionError(f"ran {scenario.grid.cells} before validating all levels")
+    monkeypatch.setattr(harness, "run", no_run)
+    sc = replace(preset_scenario("byrne_baseline"),
+                 stepper=StepperConfig(10.0, 1.5e-5, 10.0))
+    with pytest.raises(ValidationError,
+                       match=re.escape("t_end / dt_max needs 1.067e+07 steps")):
+        convergence_study(sc, levels=3)
 
 
 def test_convergence_is_deterministic():
