@@ -10,11 +10,19 @@ floor.  They read no state: each folds the monitor series that
 :func:`~.harness.run` samples once per record into one observed
 extreme, and compares it against one theoretical bound as a
 :class:`Claim`, so reports stay mechanically checkable.
+
+A :class:`Claim` holds what its ``report.txt`` line prints.  Every
+claim, in :func:`bounds_report` and in :func:`~.harness.verify`, is
+made by :func:`judge`, which turns a pass/fail test into a verdict, or
+by :func:`fit_claims`, whose claims on a series whose tail cannot be fit
+are ``not_applicable``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +48,8 @@ __all__ = [
     "TimeSeries",
     "DecayFit",
     "Claim",
+    "judge",
+    "fit_claims",
     "TheoremReport",
     "SteadyClass",
     "InsufficientDataError",
@@ -176,14 +186,49 @@ def sigma_estimate(series: dict[str, TimeSeries], t0: float) -> float:
 
 @dataclass(frozen=True)
 class Claim:
-    """One verifiable statement with its measured value and threshold."""
+    """One verifiable statement, as a ``report.txt`` line prints it."""
 
     claim_id: str
-    description: str
     verdict: str  # "pass" | "fail" | "not_applicable"
     threshold: float
     measured: float
     fitted: DecayFit | None = None
+
+
+Test = Callable[[float, float], bool]  # (measured, threshold) -> passes
+
+
+def judge(claim_id: str, threshold: float, measured: float,
+          test: Test = operator.le, fitted: DecayFit | None = None) -> Claim:
+    """The claim that passes when ``test(measured, threshold)`` holds.
+
+    The default test reads "measured is at most the threshold".
+    """
+    verdict = "pass" if test(measured, threshold) else "fail"
+    return Claim(claim_id, verdict, threshold, measured, fitted)
+
+
+def fit_claims(name: str, series: TimeSeries, min_r_squared: float | None,
+               rate: float = 0.0, rate_test: Test = operator.gt) -> list[Claim]:
+    """``<name>_fit_quality`` and ``<name>_decay_rate`` of a fitted series.
+
+    The tail of ``series`` is fit by :func:`decay_fit`.  The quality
+    claim passes when ``r_squared >= min_r_squared``; None leaves it
+    out.  The rate claim passes when ``rate_test(fit.rate, rate)``
+    holds, by default when the fitted rate is positive.  Each is
+    ``not_applicable``, with measured NaN, when the tail cannot be fit.
+    """
+    try:
+        fit = decay_fit(series)
+    except InsufficientDataError:
+        fit = None
+    # each claim's id suffix, threshold, test, and the fitted value it reads
+    checks = [("fit_quality", min_r_squared, operator.ge, "r_squared"),
+              ("decay_rate", rate, rate_test, "rate")]
+    return [Claim(f"{name}_{kind}", "not_applicable", threshold, math.nan)
+            if fit is None else
+            judge(f"{name}_{kind}", threshold, getattr(fit, value), test, fit)
+            for kind, threshold, test, value in checks if threshold is not None]
 
 
 @dataclass(frozen=True)
@@ -243,16 +288,12 @@ def bounds_report(series: dict[str, TimeSeries], params: ModelParams,
         ("positivity", 1e-12, max(-min(lows) for lows in zip(min_u, min_v, min_m))),
         ("cell_lower_bound", -barrier, -min(min_u)),
     ]
-    claims = [Claim("bound_" + name,
-                    f"a-priori bound: {name} stays within its envelope",
-                    "pass" if observed <= bound + BOUND_SLACK * abs(bound) else "fail",
-                    bound, observed)
+    claims = [judge("bound_" + name, bound, observed,
+                    lambda obs, b: obs <= b + BOUND_SLACK * abs(b))
               for name, bound, observed in bounds]
     if g.positive_floor is not None:
-        sigma = sigma_estimate(series, 0.25 * t[-1])
-        claims.append(Claim("protease_floor_positive",
-                            "protease stays bounded away from zero late in the run",
-                            "pass" if sigma > 0 else "fail", 0.0, sigma))
+        claims.append(judge("protease_floor_positive", 0.0,
+                            sigma_estimate(series, 0.25 * t[-1]), operator.gt))
     return claims
 
 

@@ -2,12 +2,14 @@
 
 The format is deliberately flat: five known sections, known keys only,
 ``#`` comments, one ``key = value`` per line.  Unknown sections or
-keys, duplicates, and malformed values are parse errors that cite the
-offending line, so a typo can never silently change which hypotheses a
-run claims to satisfy.  Semantic problems (negative coefficients,
-violated regime hypotheses) surface as validation errors from the
-model layer instead, with the violated requirement named; those in a
-coefficient function or an initial field also cite the line and key.
+keys, duplicates, empty values and malformed values are parse errors
+that cite the offending line, so a typo can never silently change which
+hypotheses a run claims to satisfy, nor an empty ``dir`` send a run's
+artifacts into the working directory.  Semantic problems (negative
+coefficients, violated regime hypotheses) surface as validation errors
+from the model layer instead, with the violated requirement named; those
+in the grid, a coefficient function or an initial field also cite the
+line and key.
 
 A parsed :class:`~.harness.Scenario` keeps the exact document text, so
 the ``config_echo`` artifact written next to run outputs reproduces
@@ -16,6 +18,9 @@ the input byte for byte and re-parses to an identical scenario.
 
 from __future__ import annotations
 
+import contextlib
+import math
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +96,8 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SECTIONS[section]:
             raise ConfigError(f"unknown key {key!r} in [{section}]", lineno)
+        if not value:
+            raise ConfigError(f"key {key!r} in [{section}] has no value", lineno)
         if key in out[section]:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", lineno)
         out[section][key] = (value, lineno)
@@ -149,6 +156,16 @@ _FORMS = {
 }
 
 
+@contextlib.contextmanager
+def _located(key: str, lineno: int | None):
+    """Raise a model-layer ValidationError again, as the same type, with
+    the entry's line and key in front."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"line {lineno}: {key}: {exc}") from None
+
+
 def _spec(cls: type[FamilySpec], key: str, value: str, lineno: int) -> FamilySpec:
     """Parse the ``family(args)`` entry ``key`` through that family's classmethod.
 
@@ -160,15 +177,13 @@ def _spec(cls: type[FamilySpec], key: str, value: str, lineno: int) -> FamilySpe
     """
     family, args = _call_form(value, lineno)
     arity = cls.ARITY.get(family, 0)
-    try:
+    with _located(key, lineno):
         if arity is None and args:
             return cls.tabulated(*_pairs(args, lineno))
         if arity:
             build = getattr(cls, family)
             if arity - len(build.__defaults__ or ()) <= len(args) <= arity:
                 return build(*(_float(a, lineno) for a in args))
-    except ValidationError as exc:
-        raise ValidationError(f"line {lineno}: {key}: {exc}") from None
     raise ConfigError(f"expected {_FORMS[cls]}, got {value!r}", lineno)
 
 
@@ -200,11 +215,20 @@ def parse_config(text: str) -> Scenario:
     grid_sec = data["grid"]
     cells_text, cells_line = grid_sec["cells"]
     cells = tuple(_int(part.strip(), cells_line) for part in cells_text.split(","))
-    extent = _floats(*grid_sec["extent"])
+    extent_text, extent_line = grid_sec["extent"]
+    extent = _floats(extent_text, extent_line)
     origin_text, origin_line = take("grid", "origin")
     origin = _floats(origin_text, origin_line) if origin_text is not None else (0.0,)
-    grid = build_grid(cells, extent if len(extent) > 1 else extent[0],
-                      origin if len(origin) > 1 else origin[0])
+    # a single entry is broadcast to every axis
+    extent, origin = (v if len(v) > 1 else v[0] for v in (extent, origin))
+    # built in three stages, each adding one entry, so that an error cites
+    # the line and key of the entry whose addition raised it
+    with _located("cells", cells_line):
+        build_grid(cells, 1.0)
+    with _located("extent", extent_line):
+        build_grid(cells, extent)
+    with _located("origin", origin_line):
+        grid = build_grid(cells, extent, origin)
 
     st = data["stepper"]
     cfl_text, cfl_line = take("stepper", "cfl")
@@ -326,21 +350,26 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
 
     series = list(result.series.values())
     t = series[0].t if series else np.empty(0)
+    free = [t, *(s.values for s in series)]
     written = [_write_table(out / "series.csv", ["t", *result.series],
-                            _templates(np.empty((len(t), 0)), 1 + len(series)),
-                            np.column_stack([t] + [s.values for s in series]))]
+                            _templates(len(t), lambda rows: np.empty((len(rows), 0)),
+                                       len(free)), free)]
 
     # every record shares the scenario's grid, so its index and coordinate
     # columns are rendered once, into the templates
     grid = result.scenario.grid
     header = ["i", "j", "k"][:grid.dims] + ["x", "y", "z"][:grid.dims] + ["u", "v", "m"]
-    indices = np.meshgrid(*(np.arange(n) for n in grid.shape), indexing="ij")
-    templates = _templates(
-        np.column_stack([f.ravel() for f in (*indices, *grid.centers())]), 3)
+
+    def grid_columns(rows: np.ndarray) -> np.ndarray:
+        index = np.unravel_index(rows, grid.shape)
+        return np.column_stack(
+            [*index, *(grid.axis_centers(d)[i] for d, i in enumerate(index))])
+
+    templates = _templates(math.prod(grid.shape), grid_columns, 3)
     for path, state in snapshots.items():
         fields = (state.cells.values, state.ecm.values, state.protease.values)
         written.append(_write_table(path, header, templates,
-                                    np.column_stack([f.ravel() for f in fields])))
+                                    [f.ravel() for f in fields]))
 
     if report is not None:
         report_path = out / "report.txt"
@@ -361,32 +390,39 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
 # Rows are written in blocks of this many, each filled by one "%" call.
 # Blocks of 1024 rows or whole records are no faster, and on a 24x20x16
 # grid they raised the peak RSS by 4-5 MB of freed heap that glibc kept.
+# No whole-table array is built either: on that grid the six fixed
+# columns of a snapshot, stacked whole next to the templates, raised the
+# peak of writing its snapshots from about 0.5 MB to about 1.4 MB.
 _BLOCK_ROWS = 128
 
 
-def _templates(fixed: np.ndarray, free: int) -> list[str]:
-    """Row templates of a table, one string per block of rows.
+def _templates(n_rows: int, fixed: Callable[[np.ndarray], np.ndarray],
+               free: int) -> list[str]:
+    """Row templates of an ``n_rows``-row table, one string per block of rows.
 
-    Each row holds its ``fixed`` columns, already rendered at ``%.17g``,
-    then ``free`` ``%.17g`` slots for :func:`_write_table` to fill.
+    Each row holds its fixed columns, which ``fixed`` returns for the row
+    numbers of one block as a 2D array and which are rendered here at
+    ``%.17g``, then ``free`` ``%.17g`` slots for :func:`_write_table` to fill.
     """
-    head = "%.17g," * fixed.shape[1]
     slots = ",".join(["%.17g"] * free) + "\n"
-    return ["".join([head % tuple(row) + slots
-                     for row in fixed[start:start + _BLOCK_ROWS].tolist()])
-            for start in range(0, len(fixed), _BLOCK_ROWS)]
+    templates = []
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = fixed(np.arange(start, min(start + _BLOCK_ROWS, n_rows)))
+        head = "%.17g," * block.shape[1]
+        templates.append("".join([head % tuple(row) + slots for row in block.tolist()]))
+    return templates
 
 
 def _write_table(path: Path, header: list[str], templates: list[str],
-                 free: np.ndarray) -> Path:
-    """A header line, then the rows of ``free`` filled into ``templates``.
+                 free: list[np.ndarray]) -> Path:
+    """A header line, then the rows of the ``free`` columns filled into ``templates``.
 
     The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on
     the fixed and free columns side by side, under the same header.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for start, template in zip(range(0, len(free), _BLOCK_ROWS), templates):
-            block = free[start:start + _BLOCK_ROWS]
+        for start, template in zip(range(0, len(free[0]), _BLOCK_ROWS), templates):
+            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in free])
             fh.write(template % tuple(block.ravel().tolist()))
     return path

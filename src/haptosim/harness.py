@@ -7,14 +7,18 @@ satisfy; building one evaluates its initial fields and checks those
 hypotheses, once.  :func:`run` drives the IMEX stepper, stores every
 record in primitive form, and samples named time series;
 :func:`verify` turns the recorded monitors and decay fits into a
-:class:`TheoremReport` of pass/fail claims; :func:`convergence_study`
-measures the observed order of accuracy against a fine-grid reference.
+:class:`TheoremReport` of pass/fail claims: the bound claims of
+:func:`~.analysis.bounds_report`, then the regime's own, which are built
+here by :func:`~.analysis.judge` and :func:`~.analysis.fit_claims`;
+:func:`convergence_study` measures the observed order of accuracy
+against a fine-grid reference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -22,12 +26,11 @@ import numpy as np
 
 from .analysis import (
     Claim,
-    DecayFit,
-    InsufficientDataError,
     TheoremReport,
     TimeSeries,
     bounds_report,
-    decay_fit,
+    fit_claims,
+    judge,
     norm,
     steady_classify,
     steady_residual,
@@ -419,28 +422,6 @@ def run(scenario: Scenario) -> RunResult:
 # theorem verification
 
 
-def _fit_or_none(series: TimeSeries) -> DecayFit | None:
-    try:
-        return decay_fit(series)
-    except InsufficientDataError:
-        return None
-
-
-def _fit_quality_claim(claim_id: str, desc: str, fit: DecayFit | None,
-                       threshold: float) -> Claim:
-    if fit is None:
-        return Claim(claim_id, desc, "not_applicable", threshold, math.nan)
-    verdict = "pass" if fit.r_squared >= threshold else "fail"
-    return Claim(claim_id, desc, verdict, threshold, fit.r_squared, fit)
-
-
-def _positive_rate_claim(claim_id: str, desc: str, fit: DecayFit | None) -> Claim:
-    if fit is None:
-        return Claim(claim_id, desc, "not_applicable", 0.0, math.nan)
-    verdict = "pass" if fit.rate > 0 else "fail"
-    return Claim(claim_id, desc, verdict, 0.0, fit.rate, fit)
-
-
 def verify(result: RunResult) -> TheoremReport:
     """Score the run against its regime's claims.
 
@@ -463,104 +444,50 @@ def verify(result: RunResult) -> TheoremReport:
 
 
 def _bound3_claims(result: RunResult) -> list[Claim]:
-    params = result.scenario.params
-    claims = []
-
-    fit_v = _fit_or_none(result.series["matrix_sup"])
-    claims.append(_fit_quality_claim(
-        "matrix_sup_fit_quality", "sup of matrix decays log-linearly",
-        fit_v, 0.98))
+    params, series, final = result.scenario.params, result.series, result.final_state
     predicted = result.u_bar * float(params.production(0.0)) / params.protease_decay
-    if fit_v is None:
-        claims.append(Claim("matrix_sup_decay_rate",
-                            "matrix decay rate matches the predicted asymptote",
-                            "not_applicable", predicted, math.nan))
-    else:
-        ok = abs(fit_v.rate - predicted) <= 0.15 * predicted
-        claims.append(Claim("matrix_sup_decay_rate",
-                            "matrix decay rate matches the predicted asymptote",
-                            "pass" if ok else "fail", predicted, fit_v.rate, fit_v))
-
-    fit_u = _fit_or_none(result.series["cell_dev_l2"])
-    claims.append(_fit_quality_claim(
-        "cell_dev_fit_quality", "L2 deviation of cells decays log-linearly",
-        fit_u, 0.95))
-    claims.append(_positive_rate_claim(
-        "cell_dev_decay_rate", "cell deviation decays at a positive rate", fit_u))
-
-    fit_m = _fit_or_none(result.series["protease_dev_l2"])
-    claims.append(_fit_quality_claim(
-        "protease_dev_fit_quality",
-        "L2 deviation of protease decays log-linearly", fit_m, 0.95))
-    claims.append(_positive_rate_claim(
-        "protease_dev_decay_rate", "protease deviation decays at a positive rate",
-        fit_m))
-
-    claims.append(_positive_rate_claim(
-        "grad_sqrt_matrix_decay_rate",
-        "gradient of the matrix square root decays at a positive rate",
-        _fit_or_none(result.series["grad_sqrt_matrix_l2"])))
-
-    final = result.final_state
-    residual = steady_residual(final, params)
-    claims.append(Claim("final_steady_residual",
-                        "final state satisfies the stationary equations",
-                        "pass" if residual <= 1e-5 else "fail", 1e-5, residual))
     try:
-        cls = steady_classify(final, params, tol=1e-5)
-        k = cls.k if cls.k is not None else math.nan
-        ok = cls.kind == "homogeneous" and cls.k == 1.0
+        k = steady_classify(final, params, tol=1e-5).k
     except ValueError:
-        k, ok = math.nan, False
-    claims.append(Claim("final_state_homogeneous",
-                        "final state is the homogeneous invaded state",
-                        "pass" if ok else "fail", 1.0, k))
-    return claims
+        k = None
+    return [
+        *fit_claims("matrix_sup", series["matrix_sup"], 0.98, predicted,
+                    lambda rate, p: abs(rate - p) <= 0.15 * p),
+        *fit_claims("cell_dev", series["cell_dev_l2"], 0.95),
+        *fit_claims("protease_dev", series["protease_dev_l2"], 0.95),
+        # the gradient series is claimed to decay, not to decay log-linearly
+        *fit_claims("grad_sqrt_matrix", series["grad_sqrt_matrix_l2"], None),
+        judge("final_steady_residual", 1e-5, steady_residual(final, params)),
+        # extinct cells carry no level; k is 1.0 only in the invaded state
+        judge("final_state_homogeneous", 1.0, math.nan if k is None else k,
+              operator.eq),
+    ]
 
 
 def _bound5_claims(result: RunResult) -> list[Claim]:
-    claims = []
     m_l2 = result.series["protease_l2"].values
     peak = float(np.max(m_l2))
-    peak_idx = int(np.argmax(m_l2))
-    denom = peak if peak > 0 else 1.0
-    ratio = float(m_l2[-1]) / denom
-    claims.append(Claim("protease_l2_final_over_peak",
-                        "L2 protease at the end is negligible next to its peak",
-                        "pass" if ratio <= 1e-3 else "fail", 1e-3, ratio))
-
+    scale = peak if peak > 0 else 1.0
     dev = result.series["cell_dev_l2"].values
-    denom = float(dev[0]) if dev[0] > 0 else 1.0
-    ratio = float(dev[-1]) / denom
-    claims.append(Claim("cell_dev_final_over_initial",
-                        "L2 cell deviation shrinks by two orders of magnitude",
-                        "pass" if ratio <= 1e-2 else "fail", 1e-2, ratio))
-
     # envelope check: after its peak the protease L2 never ticks back up
     # beyond roundoff slack
-    upticks = np.diff(m_l2[peak_idx:])
-    measured = float(np.max(upticks)) if upticks.size else 0.0
-    slack = 1e-9 * (peak if peak > 0 else 1.0)
-    claims.append(Claim("protease_l2_envelope",
-                        "L2 protease decreases monotonically after its peak",
-                        "pass" if measured <= slack else "fail", slack, measured))
-    return claims
+    upticks = np.diff(m_l2[int(np.argmax(m_l2)):])
+    return [
+        judge("protease_l2_final_over_peak", 1e-3, float(m_l2[-1]) / scale),
+        judge("cell_dev_final_over_initial", 1e-2,
+              float(dev[-1]) / (float(dev[0]) if dev[0] > 0 else 1.0)),
+        judge("protease_l2_envelope", 1e-9 * scale,
+              float(np.max(upticks)) if upticks.size else 0.0),
+    ]
 
 
 def _mu_zero_claims(result: RunResult) -> list[Claim]:
-    claims = []
     mass = result.series["cell_mass"].values
     base = float(mass[0]) if mass[0] > 0 else 1.0
     drift = (float(np.max(mass)) - float(np.min(mass))) / base
-    claims.append(Claim("cell_mass_drift",
-                        "total cell mass is conserved to relative 1e-9",
-                        "pass" if drift <= 1e-9 else "fail", 1e-9, drift))
-
     gap = abs(result.u_bar - float(np.mean(result.initial_state.cells.values)))
-    claims.append(Claim("cell_mean_matches_initial",
-                        "deviation target equals the initial mean exactly",
-                        "pass" if gap <= 1e-14 else "fail", 1e-14, gap))
-    return claims
+    return [judge("cell_mass_drift", 1e-9, drift),
+            judge("cell_mean_matches_initial", 1e-14, gap)]
 
 
 # ---------------------------------------------------------------------------

@@ -335,11 +335,9 @@ class FunctionSpec(FamilySpec):
     def antiderivative(self, v):
         """Integral from 0 to ``v`` of the function, elementwise.
 
-        Closed form for the analytic families.  For tables the
-        quadrature is composite Simpson on panels aligned with the
-        nodes, which integrates each linear piece exactly (absolute
-        error well under 1e-10); it reduces to the cumulative
-        trapezoid below.
+        Closed form for the analytic families, and for tables too: the
+        integral of a piecewise-linear function is piecewise quadratic,
+        summed node to node, so it is exact to roundoff.
         """
         arr = np.asarray(v, dtype=float)
         w = np.maximum(arr, 0.0)

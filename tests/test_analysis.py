@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from haptosim import (
 )
 from haptosim.analysis import (
     AmbiguousSteadyStateError,
+    Claim,
     InsufficientDataError,
     NotSteadyError,
     ScheduleMismatchError,
@@ -24,7 +26,9 @@ from haptosim.analysis import (
     bounds_report,
     decay_fit,
     equivalence_gap,
+    fit_claims,
     gradv_identity_gap,
+    judge,
     norm,
     sigma_estimate,
     steady_classify,
@@ -220,6 +224,48 @@ def test_sigma_estimate_no_samples():
     hist = [state_of(grid, 1.0, 0.5, 0.5, t=0.0)]
     with pytest.raises(InsufficientDataError):
         sigma_estimate(sampled(hist, params_with()), 3.0)
+
+
+# ---------------------------------------------------------------------------
+# claims
+
+
+@pytest.mark.parametrize("measured, verdict", [(0.5, "pass"), (1.0, "pass"),
+                                               (1.5, "fail"), (math.nan, "fail")])
+def test_judge_defaults_to_at_most(measured, verdict):
+    claim = judge("cap", 1.0, measured)
+    assert (claim.claim_id, claim.verdict, claim.threshold, claim.fitted) == (
+        "cap", verdict, 1.0, None)
+
+
+def test_claim_holds_only_what_a_report_line_prints():
+    assert [f.name for f in dataclasses.fields(Claim)] == [
+        "claim_id", "verdict", "threshold", "measured", "fitted"]
+
+
+def test_fit_claims_on_an_exact_exponential():
+    t = np.linspace(0.0, 10.0, 41)
+    series = TimeSeries("x_l2", t, 2.0 * np.exp(-0.5 * t))
+    quality, rate = fit_claims("x", series, 0.95)
+    assert (quality.claim_id, quality.verdict, quality.threshold) == (
+        "x_fit_quality", "pass", 0.95)
+    assert quality.measured == pytest.approx(1.0)
+    assert (rate.claim_id, rate.verdict, rate.threshold) == ("x_decay_rate", "pass", 0.0)
+    assert rate.measured == pytest.approx(0.5)
+    assert quality.fitted is rate.fitted is not None
+    # a rate test against a predicted rate, and no quality claim
+    (off,) = fit_claims("x", series, None, 1.0, lambda r, p: abs(r - p) <= 0.15 * p)
+    assert (off.claim_id, off.verdict, off.threshold) == ("x_decay_rate", "fail", 1.0)
+
+
+def test_fit_claims_not_applicable_without_a_fit():
+    t = np.linspace(0.0, 1.0, 10)
+    series = TimeSeries("x_l2", t, np.exp(-t))  # a tail of 5 samples: too few
+    claims = fit_claims("x", series, 0.98, 2.0)
+    assert [(c.claim_id, c.verdict, c.threshold, c.fitted) for c in claims] == [
+        ("x_fit_quality", "not_applicable", 0.98, None),
+        ("x_decay_rate", "not_applicable", 2.0, None)]
+    assert all(math.isnan(c.measured) for c in claims)
 
 
 # ---------------------------------------------------------------------------

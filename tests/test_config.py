@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -138,22 +139,60 @@ def test_parse_and_run_evaluate_the_initial_fields_once(formulation, monkeypatch
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("grid__extent", "1.0, 2.0, 3.0", "extents has 3 entries, but cells has 2"),
+    ("grid__extent", "1.0, 2.0, 3.0", "extent: extents has 3 entries, but cells has 2"),
     ("grid__origin", "0.0", None),
-    ("grid__origin", "0.0, 0.5, 1.0", "origin has 3 entries, but cells has 2"),
-], ids=["extent", "scalar-origin", "origin"])
+    ("grid__origin", "0.0, 0.5, 1.0", "origin: origin has 3 entries, but cells has 2"),
+    ("grid__cells", "1", r"cells: need at least 2 cells per dim, got \(1,\)"),
+    ("grid__extent", "-1.0", r"extent: extents must be positive finite, got \(-1.0, -1.0\)"),
+    ("grid__origin", "nan", "origin: origin must be finite"),
+], ids=["extent", "scalar-origin", "origin", "one-cell", "negative-extent",
+        "nan-origin"])
 def test_grid_length_errors_name_the_argument(key, value, message, tmp_path, capsys):
+    # every [grid] error cites the line and the key of the entry at fault
     text = config_text(**{"grid__cells": "8, 8", "grid__extent": "1.0, 2.0",
                           key: value})
     cfg = write_config(tmp_path, text)
     if message is None:  # a single entry is broadcast to every axis
         assert parse_config(text).grid.origin == (0.0, 0.0)
         return
-    with pytest.raises(ValidationError, match=f"^{message}$"):
+    lineno = text.splitlines().index(f"{key.split('__')[1]} = {value}") + 1
+    with pytest.raises(ValidationError, match=f"^line {lineno}: {message}$"):
         parse_config(text)
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert re.fullmatch(f"error: line {lineno}: {message}\n", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["output__dir", "model__name"])
+def test_empty_value_is_a_parse_error(key):
+    text = config_text(**{key: "  # nothing after the comment is stripped"})
+    section, name = key.split("__")
+    lineno = next(n for n, line in enumerate(text.splitlines(), start=1)
+                  if line.startswith(f"{name} ="))
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert str(err.value) == f"line {lineno}: key {name!r} in [{section}] has no value"
+    assert err.value.lineno == lineno
+    with pytest.raises(ConfigError, match=f"key {name!r} in \\[{section}\\] has no value"):
+        parse_config(config_text(**{key: ""}))
+
+
+def test_cli_empty_output_dir_touches_nothing(tmp_path, capsys, monkeypatch):
+    # an empty dir once meant the working directory: the run wrote its
+    # artifacts there and deleted a report.txt an earlier run had left
+    text = config_text(output__dir="")
+    cfg = write_config(tmp_path, text)
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "report.txt").write_text("kept")
+    monkeypatch.chdir(work)
+    assert main(["run", "-c", cfg]) == 1
+    lineno = text.splitlines().index("dir = ") + 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {lineno}: key 'dir' in [output] has no value\n"
+    assert sorted(p.name for p in work.iterdir()) == ["report.txt"]
+    assert (work / "report.txt").read_text() == "kept"
 
 
 def test_comments_and_blank_lines_ignored():
@@ -583,7 +622,7 @@ def test_rerun_deletes_stale_snapshots_and_nothing_else(tmp_path):
 
 def test_run_without_report_deletes_stale_report(tiny_result, tmp_path):
     report = TheoremReport(regime="custom", claims=(
-        Claim("mass_cap", "bounded mass", "pass", 1.0, 0.5),))
+        Claim("mass_cap", "pass", 1.0, 0.5),))
     emit_outputs(tiny_result, report, tmp_path)
     assert (tmp_path / "report.txt").exists()
     paths = emit_outputs(tiny_result, None, tmp_path)
@@ -651,8 +690,8 @@ def test_report_lines_carry_verdict_and_numbers(tiny_result, tmp_path):
     fit = DecayFit(rate=0.9, amplitude=0.1, r_squared=0.995,
                    window=(1.0, 2.0), n_samples=11)
     report = TheoremReport(regime="custom", claims=(
-        Claim("alpha_decay", "fitted decay", "pass", 0.95, 0.995, fit),
-        Claim("mass_cap", "bounded mass", "fail", 1.0, 1.5)))
+        Claim("alpha_decay", "pass", 0.95, 0.995, fit),
+        Claim("mass_cap", "fail", 1.0, 1.5)))
     emit_outputs(tiny_result, report, tmp_path)
     lines = (tmp_path / "report.txt").read_text().splitlines()
     assert len(lines) == 2

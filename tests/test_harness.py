@@ -636,6 +636,32 @@ def test_bound3_report_holds_the_protease_floor_once():
     assert "bound_protease_lower_bound" not in ids
 
 
+BOUND_IDS = ("bound_cell_mass_l1", "bound_matrix_sup", "bound_protease_mass_l1",
+             "bound_weighted_mass_l1", "bound_positivity", "bound_cell_lower_bound")
+
+
+@pytest.mark.parametrize("regime, mu, g, regime_ids", [
+    ("theorem_bound3", 1.0, FunctionSpec.affine(1.0, 1.0), (
+        "protease_floor_positive",
+        "matrix_sup_fit_quality", "matrix_sup_decay_rate",
+        "cell_dev_fit_quality", "cell_dev_decay_rate",
+        "protease_dev_fit_quality", "protease_dev_decay_rate",
+        "grad_sqrt_matrix_decay_rate",
+        "final_steady_residual", "final_state_homogeneous")),
+    ("theorem_bound5", 1.0, FunctionSpec.affine(0.0, 1.0), (
+        "protease_l2_final_over_peak", "cell_dev_final_over_initial",
+        "protease_l2_envelope")),
+    ("mu_zero_conservation", 0.0, FunctionSpec.affine(0.0, 1.0), (
+        "cell_mass_drift", "cell_mean_matches_initial")),
+    ("byrne_baseline", 1.0, FunctionSpec.affine(0.0, 1.0), ()),
+    ("custom", 1.0, FunctionSpec.affine(1.0, 1.0), ("protease_floor_positive",)),
+])
+def test_report_claim_ids_in_order(regime, mu, g, regime_ids):
+    # the claim order is the line order of report.txt
+    report = verify(run(quick_scenario(regime=regime, mu=mu, g=g)))
+    assert tuple(c.claim_id for c in report.claims) == BOUND_IDS + regime_ids
+
+
 def test_claims_appear_exactly_once():
     report = verify(synthetic_bound3_result())
     ids = [c.claim_id for c in report.claims]
