@@ -74,11 +74,20 @@ class InsufficientDataError(ValueError):
     """Too few usable samples for the requested fit or estimate."""
 
 
-class NotSteadyError(ValueError):
+class _SteadyStateError(ValueError):
+    """A state :func:`steady_classify` could not classify; carries the
+    stationary ``residual`` it computed, so no caller computes it again."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
+class NotSteadyError(_SteadyStateError):
     """State residual is too large to classify as a steady state."""
 
 
-class AmbiguousSteadyStateError(ValueError):
+class AmbiguousSteadyStateError(_SteadyStateError):
     """Residual is small but the state matches no known steady family."""
 
 
@@ -342,7 +351,8 @@ def steady_classify(state: SimState, params: ModelParams,
     """
     residual = steady_residual(state, params)
     if residual > tol:
-        raise NotSteadyError(f"residual {residual:.3e} exceeds tolerance {tol:.1e}")
+        raise NotSteadyError(f"residual {residual:.3e} exceeds tolerance {tol:.1e}",
+                             residual)
     u, v, m = state.cells.values, state.ecm.values, state.protease.values
 
     if np.max(np.abs(u)) <= tol:
@@ -353,15 +363,18 @@ def steady_classify(state: SimState, params: ModelParams,
         m_star = k * float(params.production(0.0)) / params.protease_decay
         if np.max(np.abs(m - m_star)) > tol:
             raise AmbiguousSteadyStateError(
-                f"protease level does not balance production (expected {m_star:.6g})")
+                f"protease level does not balance production (expected {m_star:.6g})",
+                residual)
         if params.growth_rate > 0:
             target = 0.0 if abs(k) <= abs(k - 1.0) else 1.0
             if abs(k - target) > tol:
                 raise AmbiguousSteadyStateError(
-                    f"flat cell level {k:.6g} is neither 0 nor 1 with growth on")
+                    f"flat cell level {k:.6g} is neither 0 nor 1 with growth on",
+                    residual)
             k = target
         return SteadyClass("homogeneous", k=k, residual=residual)
-    raise AmbiguousSteadyStateError("state is steady but matches no known family")
+    raise AmbiguousSteadyStateError("state is steady but matches no known family",
+                                    residual)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from collections.abc import Callable
 from pathlib import Path
 
@@ -329,7 +330,15 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     anything is touched.  Files an earlier run left that this one does
     not rewrite are deleted: other ``snapshots/state_*.csv`` files and,
     when ``report`` is None, ``report.txt``.  Nothing else is touched.
-    Returns the paths written.
+
+    The snapshots are written by one process per usable CPU, this one and
+    forked children (see :func:`_write_snapshots`); the bytes are the
+    same on any number of CPUs.  Everything else is written here: the
+    collision check, the deletions, series.csv and the snapshot row
+    templates come before the fork, report.txt and config_echo after
+    the last child is reaped.  Snapshot files that could not be written
+    are named in one OSError.  Returns the paths written, in the order
+    above with the snapshots in record order.
     """
     out = Path(out_dir)
     snapshots: dict[Path, SimState] = {}
@@ -366,10 +375,10 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
             [*index, *(grid.axis_centers(d)[i] for d, i in enumerate(index))])
 
     templates = _templates(math.prod(grid.shape), grid_columns, 3)
-    for path, state in snapshots.items():
-        fields = (state.cells.values, state.ecm.values, state.protease.values)
-        written.append(_write_table(path, header, templates,
-                                    [f.ravel() for f in fields]))
+    _write_snapshots(
+        [(path, [f.values.ravel() for f in (state.cells, state.ecm, state.protease)])
+         for path, state in snapshots.items()], header, templates)
+    written.extend(snapshots)
 
     if report is not None:
         report_path = out / "report.txt"
@@ -385,6 +394,86 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     echo_path.write_text(text, encoding="utf-8")
     written.append(echo_path)
     return written
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_snapshots(tables: list[tuple[Path, list[np.ndarray]]],
+                     header: list[str], templates: list[str]) -> None:
+    """Write each ``(path, free columns)`` table, one interleaved share per CPU.
+
+    The tables are split into ``k`` shares, ``tables[j::k]``, where ``k``
+    is the number of usable CPUs but at most the number of tables, and 1
+    where ``os.fork`` is missing.  This process writes share 0, and each
+    other share is written by a forked child; a share whose fork raised is
+    written here too.  Every file is written by :func:`_write_table` in
+    one process, so the bytes do not depend on ``k``.
+
+    Forking is safe here although numpy's BLAS thread pool makes the
+    process multi-threaded, which Python 3.12 and later warn about with a
+    DeprecationWarning: a lock another thread held at the fork is one the
+    child never takes.  The child imports nothing, logs nothing, calls no
+    BLAS and touches only the files it creates.  It runs
+    :func:`_write_table` over the arrays it inherited, sends the failures
+    back through a pipe and leaves through ``os._exit``, which runs no
+    exit handler and flushes no inherited buffer.
+
+    Every child is reaped before this returns or raises, also when this
+    process's own share raised or was interrupted.  Files that could not
+    be written, in any share, are named in one OSError.
+    """
+    k = max(1, min(_usable_cpus(), len(tables))) if hasattr(os, "fork") else 1
+    mine, children, failures = [tables[0::k]], {}, []
+    try:
+        for share in (tables[j::k] for j in range(1, k)):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                mine.append(share)
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "w", encoding="utf-8") as pipe:
+                        pipe.write("\n".join(_write_share(share, header, templates)))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = (read_fd, share)
+        for share in mine:
+            failures += _write_share(share, header, templates)
+    finally:
+        for pid, (read_fd, share) in children.items():
+            with open(read_fd, encoding="utf-8") as pipe:
+                failures += filter(None, pipe.read().split("\n"))
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failures.append(f"{', '.join(str(path) for path, _ in share)}: "
+                                f"writer process exited with code {code}")
+    if failures:
+        raise OSError("could not write " + "; ".join(failures))
+
+
+def _write_share(share: list[tuple[Path, list[np.ndarray]]], header: list[str],
+                 templates: list[str]) -> list[str]:
+    """Write every table of ``share``; returns one message per file that failed."""
+    failures = []
+    for path, free in share:
+        try:
+            _write_table(path, header, templates, free)
+        except OSError as exc:
+            failures.append(f"{path}: {exc.strerror or exc}")
+    return failures
 
 
 # Rows are written in blocks of this many, each filled by one "%" call.

@@ -25,7 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import (
+    AmbiguousSteadyStateError,
     Claim,
+    NotSteadyError,
     TheoremReport,
     TimeSeries,
     bounds_report,
@@ -33,7 +35,6 @@ from .analysis import (
     judge,
     norm,
     steady_classify,
-    steady_residual,
 )
 from .model import (
     FamilySpec,
@@ -446,10 +447,12 @@ def verify(result: RunResult) -> TheoremReport:
 def _bound3_claims(result: RunResult) -> list[Claim]:
     params, series, final = result.scenario.params, result.series, result.final_state
     predicted = result.u_bar * float(params.production(0.0)) / params.protease_decay
+    # the classification's residual, or its error's, is the claimed one
     try:
-        k = steady_classify(final, params, tol=1e-5).k
-    except ValueError:
-        k = None
+        steady = steady_classify(final, params, tol=1e-5)
+        k, residual = steady.k, steady.residual
+    except (NotSteadyError, AmbiguousSteadyStateError) as exc:
+        k, residual = None, exc.residual
     return [
         *fit_claims("matrix_sup", series["matrix_sup"], 0.98, predicted,
                     lambda rate, p: abs(rate - p) <= 0.15 * p),
@@ -457,7 +460,7 @@ def _bound3_claims(result: RunResult) -> list[Claim]:
         *fit_claims("protease_dev", series["protease_dev_l2"], 0.95),
         # the gradient series is claimed to decay, not to decay log-linearly
         *fit_claims("grad_sqrt_matrix", series["grad_sqrt_matrix_l2"], None),
-        judge("final_steady_residual", 1e-5, steady_residual(final, params)),
+        judge("final_steady_residual", 1e-5, residual),
         # extinct cells carry no level; k is 1.0 only in the invaded state
         judge("final_state_homogeneous", 1.0, math.nan if k is None else k,
               operator.eq),

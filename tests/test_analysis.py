@@ -533,6 +533,17 @@ def test_classify_ambiguous_intermediate_level_with_growth():
         steady_classify(state_of(unit_grid(), 0.5, 0.0, 0.5), params_with(), tol=0.3)
 
 
+@pytest.mark.parametrize("u, v, m, tol, error", [
+    (0.5, 0.5, 0.5, 1e-6, NotSteadyError),
+    (0.5, 0.0, 0.5, 0.3, AmbiguousSteadyStateError)],
+    ids=["not-steady", "ambiguous"])
+def test_classify_errors_carry_the_residual(u, v, m, tol, error):
+    state, params = state_of(unit_grid(), u, v, m), params_with()
+    with pytest.raises(error) as info:
+        steady_classify(state, params, tol=tol)
+    assert info.value.residual == steady_residual(state, params)
+
+
 # ---------------------------------------------------------------------------
 # matrix-gradient reconstruction identity
 

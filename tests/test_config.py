@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haptosim import FunctionSpec, ModelParams, ValidationError, build_grid
-from haptosim import harness
+from haptosim import config, harness
 from haptosim.analysis import Claim, DecayFit, TheoremReport, TimeSeries
 from haptosim.cli import main
 from haptosim.config import (
@@ -645,10 +645,130 @@ def test_snapshot_name_collision_leaves_old_artifacts_untouched(tmp_path):
     assert (tmp_path / "report.txt").read_text() == "old"
 
 
+def writers(monkeypatch, cpus):
+    """Let the writer see ``cpus`` usable CPUs; returns the list of its forks."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def tree_bytes(root):
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="writes in one process")
+def test_snapshot_bytes_do_not_depend_on_the_number_of_writers(tiny_result, tmp_path,
+                                                                monkeypatch):
+    report = TheoremReport(regime="custom", claims=(Claim("mass_cap", "pass", 1.0, 0.5),))
+    trees, path_lists = [], []
+    for cpus, fork_count in ((1, 0), (3, 2)):
+        forks = writers(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        paths = emit_outputs(tiny_result, report, out)
+        assert len(forks) == fork_count
+        trees.append(tree_bytes(out))
+        path_lists.append([p.relative_to(out) for p in paths])
+        assert_no_child_left()
+    assert len(tiny_result.recorded_states) == 6
+    assert trees[0] == trees[1]
+    assert path_lists[0] == path_lists[1]
+    assert sorted(path_lists[0]) == sorted(trees[0])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="writes in one process")
+def test_snapshot_shares_whose_fork_failed_are_written_by_the_caller(
+        tiny_result, tmp_path, monkeypatch):
+    emit_outputs(tiny_result, None, tmp_path / "expected")
+
+    def fork():
+        raise OSError("fork refused")
+
+    writers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", fork)
+    emit_outputs(tiny_result, None, tmp_path / "out")
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "expected")
+
+
+def test_snapshot_writes_work_without_fork(tiny_result, tmp_path, monkeypatch):
+    emit_outputs(tiny_result, None, tmp_path / "expected")
+    monkeypatch.delattr(os, "fork", raising=False)
+    emit_outputs(tiny_result, None, tmp_path / "out")
+    assert tree_bytes(tmp_path / "out") == tree_bytes(tmp_path / "expected")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="writes in one process")
+def test_failed_snapshot_writes_raise_one_error_and_leave_no_child(
+        tiny_result, tmp_path, monkeypatch):
+    # with 3 writers the six records go to shares [0, 3], [1, 4] and [2, 5];
+    # the first share is the caller's
+    writers(monkeypatch, 3)
+    blocked = [tmp_path / "snapshots" / f"state_{t:.6f}.csv" for t in (0.0, 0.1)]
+    for path in blocked:
+        path.mkdir(parents=True)
+    with pytest.raises(OSError) as info:
+        emit_outputs(tiny_result, None, tmp_path)
+    assert_no_child_left()
+    assert all(str(path) in str(info.value) for path in blocked)
+    assert str(info.value).count("Is a directory") == 2
+    written = {p.name for p in (tmp_path / "snapshots").iterdir() if p.is_file()}
+    assert written == {f"state_{t:.6f}.csv" for t in (0.2, 0.3, 0.4, 0.5)}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="writes in one process")
+def test_a_writer_that_dies_is_named_with_its_files(tiny_result, tmp_path, monkeypatch):
+    caller, write_table = os.getpid(), config._write_table
+
+    def dies_in_child(path, *args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return write_table(path, *args)
+
+    writers(monkeypatch, 2)
+    monkeypatch.setattr(config, "_write_table", dies_in_child)
+    with pytest.raises(OSError, match="writer process exited with code 3") as info:
+        emit_outputs(tiny_result, None, tmp_path)
+    assert_no_child_left()
+    # the child's share is records 1, 3 and 5
+    for t in (0.1, 0.3, 0.5):
+        assert f"state_{t:.6f}.csv" in str(info.value)
+    assert "state_0.000000.csv" not in str(info.value)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="writes in one process")
+def test_an_interrupted_caller_reaps_its_writers(tiny_result, tmp_path, monkeypatch):
+    caller, write_table = os.getpid(), config._write_table
+
+    def interrupted_in_caller(path, *args):
+        if os.getpid() == caller and path.parent.name == "snapshots":
+            raise KeyboardInterrupt
+        return write_table(path, *args)
+
+    writers(monkeypatch, 3)
+    monkeypatch.setattr(config, "_write_table", interrupted_in_caller)
+    with pytest.raises(KeyboardInterrupt):
+        emit_outputs(tiny_result, None, tmp_path)
+    assert_no_child_left()
+    # both children finished their shares
+    written = {p.name for p in (tmp_path / "snapshots").iterdir()}
+    assert written == {f"state_{t:.6f}.csv" for t in (0.1, 0.2, 0.4, 0.5)}
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 EMIT_PEAK = """
-import re, sys, tempfile
+import os, re, sys, tempfile
 from pathlib import Path
 from haptosim.config import emit_outputs, parse_config
 from haptosim.harness import run
@@ -659,6 +779,8 @@ def peak_kib():
 
 result = run(parse_config(sys.stdin.read()))
 assert len(result.recorded_states) == 41
+# on one CPU the writer forks no child, so this process does the whole write
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 with tempfile.TemporaryDirectory() as out:
     before = peak_kib()
     emit_outputs(result, None, out)

@@ -15,7 +15,7 @@ from haptosim import (
     initial_state,
     taxis_weight,
 )
-from haptosim import harness, stepping
+from haptosim import analysis, harness, stepping
 from haptosim.analysis import TimeSeries
 from haptosim.harness import (
     MAX_STEPS,
@@ -660,6 +660,29 @@ def test_report_claim_ids_in_order(regime, mu, g, regime_ids):
     # the claim order is the line order of report.txt
     report = verify(run(quick_scenario(regime=regime, mu=mu, g=g)))
     assert tuple(c.claim_id for c in report.claims) == BOUND_IDS + regime_ids
+
+
+@pytest.mark.parametrize("make", [
+    synthetic_bound3_result,
+    lambda: run(quick_scenario(regime="theorem_bound3"))],
+    ids=["homogeneous", "not-steady"])
+def test_bound3_verify_evaluates_the_steady_residual_once(make, monkeypatch):
+    result = make()
+    expected = analysis.steady_residual(result.final_state, result.scenario.params)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return expected
+
+    # caught whichever module makes the call
+    real = analysis.steady_residual
+    for module in (analysis, harness):
+        if module.__dict__.get("steady_residual") is real:
+            monkeypatch.setattr(module, "steady_residual", spy)
+    report = verify(result)
+    assert len(calls) == 1
+    assert report.claim("final_steady_residual").measured == expected
 
 
 def test_claims_appear_exactly_once():
