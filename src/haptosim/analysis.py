@@ -38,6 +38,7 @@ from .model import (
 from .operators import (
     _MID,
     _neighbour_mean,
+    drift_velocities,
     gradient_faces,
     haptotaxis_divergence,
     laplacian_neumann,
@@ -331,7 +332,7 @@ def steady_residual(state: SimState, params: ModelParams) -> float:
         raise ValidationError("steady_residual expects a primitive-form state")
     u, v, m = state.cells, state.ecm, state.protease
     r_u = (laplacian_neumann(u).values
-           - haptotaxis_divergence(u, v, params.taxis).values
+           - haptotaxis_divergence(u, drift_velocities(v, params.taxis)).values
            + params.growth_rate * u.values * (1.0 - u.values - v.values))
     r_v = m.values * v.values
     r_m = (params.protease_diffusion * laplacian_neumann(m).values

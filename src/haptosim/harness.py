@@ -165,6 +165,10 @@ class Scenario:
             raise ValidationError(
                 f"formulation must be {PRIMITIVE!r} or {WEIGHTED!r}, "
                 f"got {self.formulation!r}")
+        if self.formulation == WEIGHTED and self.flux_scheme != "upwind":
+            raise ValidationError(
+                f"flux_scheme {self.flux_scheme!r} applies to the primitive "
+                f"formulation only; a weighted run has no drift flux")
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
@@ -339,7 +343,7 @@ def _series_samples(state: SimState, params: ModelParams, u_bar: float,
     ``state`` is the stepped state, in either form.  A primitive one
     evaluates the taxis weight ``z`` once, for ``w = u * z``.  A weighted
     one divides by the ``z`` that converting it to its record has just
-    left in the stepper's one-slot cache.
+    left in the stepper's per-step slot.
     """
     v, m = state.ecm, state.protease
     if state.formulation == PRIMITIVE:

@@ -7,6 +7,9 @@ more entry than cells along ``d``, and its first and last slices (the
 wall faces) are identically zero.  Built this way, the divergence of any
 face flux telescopes, so the Laplacian and the haptotaxis divergence
 conserve their field's volume integral to roundoff.
+
+The operators hold no state: apart from the Helmholtz solve's per-grid
+DCT basis, each call computes its result from its arguments alone.
 """
 
 from __future__ import annotations
@@ -69,30 +72,18 @@ def _neighbour_mean(values: np.ndarray, axis: int) -> np.ndarray:
     return 0.5 * (values[_LO[key]] + values[_HI[key]])
 
 
-# The velocities of the last ``(v, chi)`` asked for, so a step's dt guard
-# and its drift divergence share one evaluation.  The slot holds ``v`` and
-# ``chi`` themselves, so neither identity can be reused while it is cached;
-# ``imex_step`` empties it before its solves, so nothing outlives the step.
-_last_drift: list = [None, None, None]
-
-
 def drift_velocities(v: ScalarField, chi: FunctionSpec) -> tuple[np.ndarray, ...]:
     """Drift ``chi(v) * dv/dx`` on the interior faces normal to each axis.
 
     ``chi`` takes the arithmetic face average of ``v``; wall faces,
     where the velocity vanishes, are left out.  The arrays are read-only.
-    A second call with the same ``v`` and ``chi`` objects returns them
-    again, unless a step has run in between.
     """
-    last = _last_drift
-    if last[0] is not v or last[1] is not chi:
-        values, vel = v.values, []
-        for d, h in enumerate(v.grid.spacing):
-            vel_d = chi(_neighbour_mean(values, d)) * (_diff(values, d) / h)
-            vel_d.flags.writeable = False
-            vel.append(vel_d)
-        last[:] = v, chi, tuple(vel)
-    return last[2]
+    values, vel = v.values, []
+    for d, h in enumerate(v.grid.spacing):
+        vel_d = chi(_neighbour_mean(values, d)) * (_diff(values, d) / h)
+        vel_d.flags.writeable = False
+        vel.append(vel_d)
+    return tuple(vel)
 
 
 def _face_diffs(values: np.ndarray, grid: Grid, axis: int) -> np.ndarray:
@@ -127,13 +118,14 @@ def laplacian_neumann(f: ScalarField) -> ScalarField:
     return f.with_values(_lap_values(f.values, f.grid))
 
 
-def haptotaxis_divergence(u: ScalarField, v: ScalarField, chi: FunctionSpec,
+def haptotaxis_divergence(u: ScalarField, velocities: tuple[np.ndarray, ...],
                           scheme: str = "upwind") -> ScalarField:
-    """Divergence of the drift flux ``u * chi(v) * grad v``.
+    """Divergence of the drift flux ``u * velocity``.
 
-    The face flux uses the arithmetic face average of ``v`` inside
-    ``chi`` and, by default, the donor-cell value of ``u`` (the cell
-    the flux points away from), which keeps the explicit update
+    ``velocities`` holds one array per axis on the interior faces normal
+    to it, as :func:`drift_velocities` gives them for ``chi(v) * grad v``.
+    The face flux takes, by default, the donor-cell value of ``u`` (the
+    cell the flux points away from), which keeps the explicit update
     positivity-preserving under the usual CFL bound.  ``scheme`` may be
     ``"centered"`` to average ``u`` onto faces instead; that variant is
     second-order on smooth data and exists for convergence studies
@@ -143,16 +135,18 @@ def haptotaxis_divergence(u: ScalarField, v: ScalarField, chi: FunctionSpec,
     if scheme not in ("upwind", "centered"):
         raise ValidationError(f"unknown scheme {scheme!r}")
     grid = u.grid
-    if v.grid is not grid and v.grid != grid:
-        raise ValidationError("u and v must share a grid")
     dims, cells = grid.dims, u.values
+    if len(velocities) != dims:
+        raise ValidationError(f"need one velocity array per axis, got "
+                              f"{len(velocities)} for {dims} axes")
     fluxes = []
-    for d, (shape, vel) in enumerate(zip(grid.face_shapes, drift_velocities(v, chi))):
-        if scheme == "upwind":
-            key = dims, d
-            uface = np.where(vel > 0, cells[_LO[key]], cells[_HI[key]])
-        else:
-            uface = _neighbour_mean(cells, d)
+    for d, (shape, vel) in enumerate(zip(grid.face_shapes, velocities)):
+        key = dims, d
+        lo, hi = cells[_LO[key]], cells[_HI[key]]
+        if vel.shape != lo.shape:
+            raise ValidationError(f"velocities along axis {d} have shape {vel.shape}, "
+                                  f"not the interior faces' {lo.shape}")
+        uface = np.where(vel > 0, lo, hi) if scheme == "upwind" else 0.5 * (lo + hi)
         flux = np.zeros(shape)
         flux[_MID[dims, d]] = uface * vel
         fluxes.append(flux)
@@ -163,20 +157,14 @@ def haptotaxis_divergence(u: ScalarField, v: ScalarField, chi: FunctionSpec,
 # Helmholtz-type solves (b*I - a*Laplacian) x = rhs
 
 
-# denominators kept per grid: the two solves of a step at the last step size
-_DENOMINATORS_KEPT = 2
-
-
 @functools.lru_cache(maxsize=8)
-def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray, dict]:
+def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Eigenbasis of the Neumann Laplacian on ``grid``.
 
     Returns the orthonormal DCT-II matrix ``Q`` of each axis (column
-    ``k`` is the mode ``cos(pi k (j + 1/2) / n)``), the eigenvalues of
-    ``-Laplacian`` on the whole grid, ``sum_d (4/h_d**2) sin**2(pi k_d / 2n_d)``,
-    and the solve's cache of denominators ``b + a*lambda`` by ``(a, b)``,
-    which holds at most ``_DENOMINATORS_KEPT``.  The arrays are read-only
-    and cached per grid.
+    ``k`` is the mode ``cos(pi k (j + 1/2) / n)``) and the eigenvalues of
+    ``-Laplacian`` on the whole grid, ``sum_d (4/h_d**2) sin**2(pi k_d / 2n_d)``.
+    The arrays are read-only and cached per grid.
     """
     bases = []
     lam = np.zeros(grid.shape)
@@ -189,7 +177,7 @@ def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray, dict]:
         lam_d = (4.0 / h**2) * np.sin(0.5 * np.pi * k / n) ** 2
         lam = lam + lam_d.reshape([n if e == d else 1 for e in range(grid.dims)])
     lam.flags.writeable = False
-    return tuple(bases), lam, {}
+    return tuple(bases), lam
 
 
 def _along_axis(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
@@ -217,23 +205,16 @@ def helmholtz_solve(a: float, b: float, rhs: ScalarField) -> ScalarField:
     Laplacian exactly (G. Strang, "The Discrete Cosine Transform", SIAM
     Review 41, 1999), so ``rhs`` is taken into that basis, divided by
     ``b + a*lambda`` and taken back.  The result is exact to roundoff;
-    there is no tolerance and no iteration.  The bases and the
-    denominators are cached per grid, so a solve with the coefficients
-    of a recent one only multiplies and divides.
+    there is no tolerance and no iteration.  The bases and eigenvalues
+    are cached per grid.
     """
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
         raise ValidationError(f"need positive finite coefficients, got a={a}, b={b}")
-    bases, lam, denominators = _dct_modes(rhs.grid)
-    denom = denominators.get((a, b))
-    if denom is None:
-        if len(denominators) == _DENOMINATORS_KEPT:
-            del denominators[next(iter(denominators))]
-        denom = denominators[a, b] = b + a * lam
-        denom.flags.writeable = False
+    bases, lam = _dct_modes(rhs.grid)
     x = rhs.values
     for d, q in enumerate(bases):
         x = _along_axis(q.T, x, d)
-    x = x / denom
+    x = x / (b + a * lam)
     for d, q in enumerate(bases):
         x = _along_axis(q, x, d)
     return rhs.with_values(x)

@@ -24,13 +24,14 @@ time integral of ``grad m`` is not stored: both the trapezoid update
 and the cell-centred gradient are linear, so it equals the gradient of
 ``int_0^t m`` and is derived from it on demand.
 
-Each per-step quantity is computed once.  :func:`stable_dt` evaluates
-the face drift velocities of a primitive state, or the taxis weight of
-a weighted one; :func:`imex_step` on the same state finds them in
-one-slot caches keyed on the identity of the matrix field and of
-``chi``, and empties both before its solves.  :func:`from_weighted_form`
-fills the weight slot too, for the record's sampler and the next step.
-Nothing is stored on a field.
+Each per-step quantity is computed once, and this module alone keeps
+it: one slot holds the face drift velocities of a primitive state or the
+taxis weight of a weighted one, keyed on the identity of the matrix
+field and of ``chi`` and on the formulation.  :func:`stable_dt` fills
+it, :func:`imex_step` on the same state reads it and empties it before
+its solves, and :func:`from_weighted_form` fills it with the weight for
+the record's sampler and the next step.  The operators hold no state,
+and nothing is stored on a field.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .model import (
 )
 from .operators import (
     _face_diffs,
-    _last_drift,
     _neighbour_mean,
     drift_velocities,
     gradient_faces,
@@ -129,13 +129,14 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
     v, m = ecm.values, state.protease.values
 
     candidates = []
-    # every axis has at least two cells, so every velocity array is nonempty
-    for h, vel in zip(ecm.grid.spacing, drift_velocities(ecm, params.taxis)):
+    # every axis has at least two cells, so every velocity array is nonempty;
+    # a weighted step has no drift divergence to reuse them in, and its slot
+    # holds the weight, so it keeps none of them
+    for h, vel in zip(ecm.grid.spacing,
+                      _per_step(state, params) if state.formulation == PRIMITIVE
+                      else drift_velocities(ecm, params.taxis)):
         speed = float(np.abs(vel).max())
         candidates.append(cfg.cfl * h / max(speed, DENOM_FLOOR))
-    if state.formulation != PRIMITIVE:
-        # a weighted step has no drift divergence to reuse them in
-        _last_drift[:] = None, None, None
 
     if params.growth_rate > 0:
         rate = params.growth_rate * float((1.0 + u + v).max())
@@ -154,11 +155,21 @@ def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
             for d, comp in enumerate(gradient_faces(f))]
 
 
-# The taxis weight of the last ``(v, chi)`` asked for, so a weighted record,
-# its samples, and the next step's dt guard and update divide by one
-# evaluation.  Like ``operators._last_drift``, the slot holds ``v`` and
-# ``chi`` themselves, and ``imex_step`` empties it before its solves.
-_last_weight: list = [None, None, None]
+# The one per-step cache, ``[v, chi, formulation, value]``.  It holds ``v``
+# and ``chi`` themselves, so neither identity can be reused while cached;
+# the formulation is in the key because ``to_weighted_form`` shares ``ecm``
+# with its input.  ``imex_step`` empties it before its solves.
+_slot: list = [None, None, None, None]
+
+
+def _per_step(state: SimState, params: ModelParams):
+    """The drift velocities of a primitive state, or the taxis weight of a weighted one."""
+    v, chi, form, slot = state.ecm, params.taxis, state.formulation, _slot
+    if slot[0] is not v or slot[1] is not chi or slot[2] != form:
+        value = (drift_velocities(v, chi) if form == PRIMITIVE
+                 else taxis_weight(v, chi).values)
+        slot[:] = v, chi, form, value
+    return slot[3]
 
 
 def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:
@@ -166,10 +177,7 @@ def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:
     cells = state.cells.values
     if state.formulation == PRIMITIVE:
         return cells
-    v, chi, last = state.ecm, params.taxis, _last_weight
-    if last[0] is not v or last[1] is not chi:
-        last[:] = v, chi, taxis_weight(v, chi).values
-    return cells / last[2]
+    return cells / _per_step(state, params)
 
 
 def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
@@ -213,9 +221,9 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
     u = _primitive_cells(state, params)
 
     # the cells' explicit terms come first: they are the step's last use of
-    # the drift velocities and the taxis weight, so both go before the solves
+    # the slot, so it empties before the solves
     if state.formulation == PRIMITIVE:
-        drift = haptotaxis_divergence(state.cells, state.ecm, chi,
+        drift = haptotaxis_divergence(state.cells, _per_step(state, params),
                                       scheme=flux_scheme).values
         explicit = -drift + mu * u * (1.0 - u - v)
     else:
@@ -224,7 +232,7 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
             dot += _neighbour_mean(_face_diffs(v, grid, d) * _face_diffs(w, grid, d), d)
         chi_v = chi(v)
         explicit = chi_v * dot + mu * w * (1.0 - u - v) + chi_v * w * v * m
-    _last_drift[:] = _last_weight[:] = None, None, None
+    _slot[:] = None, None, None, None
 
     protease_new = helmholtz_solve(
         params.protease_diffusion, 1.0 / dt + params.protease_decay,
@@ -250,7 +258,7 @@ def to_weighted_form(state: SimState, params: ModelParams) -> SimState:
 
 
 def from_weighted_form(state: SimState, params: ModelParams) -> SimState:
-    """Recover the primitive cell density; the weight stays in the one-slot cache."""
+    """Recover the primitive cell density; the weight stays in the per-step slot."""
     if state.formulation != WEIGHTED:
         raise ValidationError("state is not in weighted form")
     return replace(state, cells=state.cells.with_values(_primitive_cells(state, params)),

@@ -42,6 +42,7 @@ from haptosim.harness import (
     verify,
 )
 from haptosim.operators import (
+    drift_velocities,
     haptotaxis_divergence,
     helmholtz_solve,
     laplacian_neumann,
@@ -293,7 +294,7 @@ def test_criterion_10_operator_oracles():
 
     u = ScalarField(grid, np.array([1.0, 2.0, 3.0, 4.0]))
     v = ScalarField(grid, np.array([0.0, 0.25, 0.5, 0.75]))
-    div = haptotaxis_divergence(u, v, FunctionSpec.constant(2.0)).values
+    div = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(2.0))).values
     flux_ok = np.array_equal(div, np.array([8.0, 8.0, 8.0, -24.0]))
 
     rng = np.random.default_rng(5)

@@ -30,7 +30,7 @@ from haptosim.harness import (
     preset_scenario,
     run,
 )
-from haptosim.model import WEIGHTED, ScalarField, SimState
+from haptosim.model import PRIMITIVE, WEIGHTED, ScalarField, SimState
 from haptosim.stepping import StepperConfig
 
 BASE = {
@@ -97,17 +97,19 @@ def test_parse_defaults():
 
 
 def test_parse_optional_keys():
-    s = parse_config(config_text(
-        model__name="named run", model__formulation="weighted",
-        grid__origin="-1.0", stepper__cfl="0.25", stepper__flux="centered",
-        initial__seed="7", initial__jitter="0.01"))
-    assert s.name == "named run"
-    assert s.formulation == WEIGHTED
-    assert s.grid.origin == (-1.0,)
-    assert s.stepper.cfl == 0.25
-    assert s.flux_scheme == "centered"
-    assert s.seed == 7
-    assert s.jitter == 0.01
+    # flux applies to the primitive form only, so each form gets a document
+    for formulation, flux in ((WEIGHTED, "upwind"), (PRIMITIVE, "centered")):
+        s = parse_config(config_text(
+            model__name="named run", model__formulation=formulation,
+            grid__origin="-1.0", stepper__cfl="0.25", stepper__flux=flux,
+            initial__seed="7", initial__jitter="0.01"))
+        assert s.name == "named run"
+        assert s.formulation == formulation
+        assert s.grid.origin == (-1.0,)
+        assert s.stepper.cfl == 0.25
+        assert s.flux_scheme == flux
+        assert s.seed == 7
+        assert s.jitter == 0.01
 
 
 def test_parse_two_dimensional_grid():
@@ -366,9 +368,11 @@ def test_custom_round_trip_keeps_every_field():
         initial_cells=InitialSpec.tabulated([0.0, 1.0], [1.0, 2.0]),
         initial_matrix=InitialSpec.bump(0.5, 0.2, 0.3, 0.1),
         initial_protease=InitialSpec.constant(0.0),
-        seed=3, jitter=0.02, flux_scheme="centered", formulation=WEIGHTED)
-    parsed = parse_config(scenario_to_config(scenario))
-    assert replace(parsed, source_text=None) == scenario
+        seed=3, jitter=0.02, flux_scheme="centered")
+    # flux applies to the primitive form only, so the weighted one is upwind
+    for case in (scenario, replace(scenario, flux_scheme="upwind", formulation=WEIGHTED)):
+        parsed = parse_config(scenario_to_config(case))
+        assert replace(parsed, source_text=None) == case
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,7 @@ from haptosim import (
     initial_state,
     taxis_weight,
 )
-from haptosim import analysis, harness, stepping
+from haptosim import analysis, harness, operators, stepping
 from haptosim.analysis import TimeSeries
 from haptosim.harness import (
     MAX_STEPS,
@@ -135,6 +135,9 @@ def test_scenario_rejects_unknown_regime():
 def test_scenario_rejects_bad_flux_scheme():
     with pytest.raises(ValidationError, match="flux_scheme"):
         quick_scenario(flux_scheme="quick")
+    # a weighted step has no drift flux, so it would ignore a centered one
+    with pytest.raises(ValidationError, match="primitive formulation only"):
+        quick_scenario(flux_scheme="centered", formulation=WEIGHTED)
 
 
 def test_scenario_rejects_bad_formulation():
@@ -452,6 +455,35 @@ def test_weighted_run_evaluates_the_taxis_weight_once_per_record(monkeypatch):
                              record_every=0.05, u0=InitialSpec.constant(0.5)))
     assert len(res.recorded_states) == 11
     assert len(calls) == 1 + 11
+
+
+def test_primitive_run_evaluates_the_drift_velocities_once_per_step(monkeypatch):
+    # each step's dt guard evaluates them, and its drift divergence
+    # transports that same evaluation, found in the stepper's slot
+    computed, transported, steps = [], [], []
+    drift = operators.drift_velocities
+    transport = operators.haptotaxis_divergence
+
+    def counted(v, chi):
+        computed.append(drift(v, chi))
+        return computed[-1]
+
+    def divergence(u, velocities, scheme="upwind"):
+        transported.append(velocities)
+        return transport(u, velocities, scheme=scheme)
+
+    def step(state, *args, **kwargs):
+        steps.append(state.t)
+        return stepping.imex_step(state, *args, **kwargs)
+    for module in (stepping, operators):
+        monkeypatch.setattr(module, "drift_velocities", counted)
+    monkeypatch.setattr(stepping, "haptotaxis_divergence", divergence)
+    monkeypatch.setattr(harness, "imex_step", step)
+    res = run(quick_scenario(cells=(8, 6), t_end=0.5, dt_max=0.05, record_every=0.1))
+    assert len(res.recorded_states) == 6
+    assert len(steps) >= 10
+    assert len(computed) == len(transported) == len(steps)
+    assert all(sent is made for sent, made in zip(transported, computed))
 
 
 def test_run_centered_flux_differs_from_upwind():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from haptosim.model import FunctionSpec, ScalarField, ValidationError, build_grid
 from haptosim.operators import (
-    _DENOMINATORS_KEPT,
     _along_axis,
     _dct_modes,
     drift_velocities,
@@ -44,18 +43,6 @@ def _kronecker_oracle(grid, a, b, rhs):
     x = x / (b - a * mu)
     for d, (_, vecs) in enumerate(eigs):
         x = np.moveaxis(np.tensordot(vecs, x, axes=([1], [d])), 0, d)
-    return x
-
-
-def _uncached_solve(a, b, rhs):
-    """``helmholtz_solve`` with the denominators built afresh."""
-    bases, lam, _ = _dct_modes(rhs.grid)
-    x = rhs.values
-    for d, q in enumerate(bases):
-        x = _along_axis(q.T, x, d)
-    x = x / (b + a * lam)
-    for d, q in enumerate(bases):
-        x = _along_axis(q, x, d)
     return x
 
 
@@ -153,7 +140,6 @@ class TestDriftVelocities:
         second = drift_velocities(v, fast)
         for a, b in zip(first, second):
             assert np.array_equal(4.0 * a, b)
-        assert drift_velocities(v, fast) is second
 
     def test_new_field_on_the_same_grid_gives_new_velocities(self):
         g = build_grid(8, 1.0)
@@ -169,13 +155,14 @@ class TestHaptotaxisDivergence:
         g = build_grid(12, 1.0)
         u = _random_field(g, 3)
         v = ScalarField.full(g, 0.8)
-        out = haptotaxis_divergence(u, v, FunctionSpec.constant(1.0))
+        out = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(1.0)))
         assert np.array_equal(out.values, np.zeros(g.shape))
 
     def test_zero_when_chi_vanishes(self):
         g = build_grid(12, 1.0)
-        out = haptotaxis_divergence(_random_field(g, 4), _random_field(g, 5),
-                                    FunctionSpec.constant(0.0))
+        out = haptotaxis_divergence(_random_field(g, 4),
+                                    drift_velocities(_random_field(g, 5),
+                                                     FunctionSpec.constant(0.0)))
         assert np.array_equal(out.values, np.zeros(g.shape))
 
     def test_hand_upwind_case(self):
@@ -183,25 +170,26 @@ class TestHaptotaxisDivergence:
         g = build_grid(3, 3.0)  # h = 1
         u = ScalarField(g, np.ones(3))
         v = ScalarField(g, np.array([0.0, 1.0, 0.0]))
-        out = haptotaxis_divergence(u, v, FunctionSpec.constant(1.0))
+        out = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(1.0)))
         assert np.array_equal(out.values, np.array([1.0, -2.0, 1.0]))
 
     def test_donor_cell_selection(self):
         g = build_grid(2, 2.0)  # h = 1, one interior face
         v = ScalarField(g, np.array([0.0, 1.0]))  # velocity +1 at the face
         u = ScalarField(g, np.array([2.0, 5.0]))
-        out = haptotaxis_divergence(u, v, FunctionSpec.constant(1.0))
+        out = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(1.0)))
         # donor is the left cell: flux = 2.0
         assert np.array_equal(out.values, np.array([2.0, -2.0]))
         v_dec = ScalarField(g, np.array([1.0, 0.0]))  # velocity -1: donor right
-        out = haptotaxis_divergence(u, v_dec, FunctionSpec.constant(1.0))
+        out = haptotaxis_divergence(u, drift_velocities(v_dec, FunctionSpec.constant(1.0)))
         assert np.array_equal(out.values, np.array([-5.0, 5.0]))
 
     def test_centered_averages_faces(self):
         g = build_grid(2, 2.0)
         v = ScalarField(g, np.array([0.0, 1.0]))
         u = ScalarField(g, np.array([2.0, 5.0]))
-        out = haptotaxis_divergence(u, v, FunctionSpec.constant(1.0), scheme="centered")
+        out = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(1.0)),
+                                    scheme="centered")
         assert np.array_equal(out.values, np.array([3.5, -3.5]))
 
     @pytest.mark.parametrize("shape", [(20,), (7, 6)])
@@ -209,7 +197,8 @@ class TestHaptotaxisDivergence:
         g = build_grid(shape, 1.0)
         u = ScalarField(g, np.abs(_random_field(g, 6).values) + 0.1)
         v = ScalarField(g, np.abs(_random_field(g, 7).values))
-        out = haptotaxis_divergence(u, v, FunctionSpec.saturating(0.2, 1.0))
+        out = haptotaxis_divergence(
+            u, drift_velocities(v, FunctionSpec.saturating(0.2, 1.0)))
         assert abs(np.sum(out.values)) < 1e-11 * np.abs(out.values).max()
 
     @pytest.mark.parametrize("scheme,floor", [("upwind", 0.9), ("centered", 1.9)])
@@ -226,7 +215,8 @@ class TestHaptotaxisDivergence:
                          (-0.2 * np.pi * np.sin(np.pi * x)) +
                          (1.0 + 0.3 * np.cos(np.pi * x)) *
                          (-0.2 * np.pi**2 * np.cos(np.pi * x)))
-            got = haptotaxis_divergence(u, v, FunctionSpec.constant(c), scheme=scheme)
+            got = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(c)),
+                                        scheme=scheme)
             # skip the wall cells: the zero-flux closure is exact for the
             # continuum problem but first-order for an arbitrary smooth field
             errs.append(np.max(np.abs(got.values - exact)[2:-2]))
@@ -236,8 +226,26 @@ class TestHaptotaxisDivergence:
     def test_rejects_unknown_scheme(self):
         g = build_grid(4, 1.0)
         with pytest.raises(ValidationError):
-            haptotaxis_divergence(ScalarField.zeros(g), ScalarField.zeros(g),
-                                  FunctionSpec.constant(1.0), scheme="quick")
+            haptotaxis_divergence(ScalarField.zeros(g),
+                                  drift_velocities(ScalarField.zeros(g),
+                                                   FunctionSpec.constant(1.0)),
+                                  scheme="quick")
+
+    @pytest.mark.parametrize("scheme", ["upwind", "centered"])
+    def test_rejects_velocities_off_the_interior_faces(self, scheme):
+        chi = FunctionSpec.constant(1.0)
+        u = _random_field(build_grid((3, 5), 1.0), 25)
+        faces = drift_velocities(_random_field(u.grid, 26), chi)
+        # one array too few, and one too many
+        for wrong in (faces[:1], faces + faces[:1]):
+            with pytest.raises(ValidationError, match="one velocity array per axis"):
+                haptotaxis_divergence(u, wrong, scheme=scheme)
+        # another grid's faces: transposed, and one row short, whose (1, 5)
+        # axis-0 velocities would broadcast against u's (2, 5) faces unchecked
+        for cells in ((5, 3), (2, 5)):
+            other = drift_velocities(_random_field(build_grid(cells, 1.0), 27), chi)
+            with pytest.raises(ValidationError, match="interior faces"):
+                haptotaxis_divergence(u, other, scheme=scheme)
 
 
 ANISO_CELLS = (4, 3, 5)
@@ -302,29 +310,14 @@ class TestHelmholtz:
                 stacked = np.matmul(m, x.reshape(1, n, 1)).reshape(n)
                 assert np.array_equal(_along_axis(m, x, 0), stacked)
 
-    def test_cached_denominators_give_the_uncached_bits(self):
-        g = build_grid((12, 10), (1.0, 0.9))
-        rhs = _random_field(g, 20)
-        bases, lam, denominators = _dct_modes(g)
-        # a step's two solves at alternating step sizes, then more pairs than are kept
-        pairs = [(a, 1.0 / dt + c) for dt in (0.01, 0.02, 0.01, 0.005)
-                 for a, c in ((0.5, 1.0), (1.0, 0.0))]
-        pairs += [(0.3 + 0.1 * k, 2.0 + k) for k in range(2 * _DENOMINATORS_KEPT)]
-        for a, b in pairs + pairs[::-1] + pairs:
-            assert np.array_equal(helmholtz_solve(a, b, rhs).values,
-                                  _uncached_solve(a, b, rhs))
-            assert 0 < len(denominators) <= _DENOMINATORS_KEPT
-            assert np.array_equal(denominators[a, b], b + a * lam)
-        assert not any(d.flags.writeable for d in denominators.values())
-        assert not lam.flags.writeable
-        assert not any(q.flags.writeable for q in bases)
-
     @pytest.mark.parametrize("axis", range(3))
     def test_basis_diagonalizes_axis_stencil(self, axis):
         # each cached axis basis must diagonalize that axis's 1D stencil,
         # assembled here from laplacian_neumann, to the cached eigenvalues
         g = build_grid(ANISO_CELLS, ANISO_EXTENTS)
-        bases, lam, _ = _dct_modes(g)
+        bases, lam = _dct_modes(g)
+        assert not lam.flags.writeable
+        assert not any(q.flags.writeable for q in bases)
         q = bases[axis]
         n = ANISO_CELLS[axis]
         stencil = _axis_stencil(n, ANISO_EXTENTS[axis])

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from haptosim import operators, stepping
+from haptosim import stepping
 from haptosim.model import (
     WEIGHTED,
     FunctionSpec,
@@ -16,6 +16,7 @@ from haptosim.model import (
     taxis_weight,
 )
 from haptosim.operators import (
+    drift_velocities,
     gradient_faces,
     haptotaxis_divergence,
     helmholtz_solve,
@@ -158,7 +159,7 @@ class TestImexStep:
         def rhs(u, v, m):
             uf, vf, mf = (ScalarField(g, a) for a in (u, v, m))
             du = (laplacian_neumann(uf).values
-                  - haptotaxis_divergence(uf, vf, p.taxis).values
+                  - haptotaxis_divergence(uf, drift_velocities(vf, p.taxis)).values
                   + p.growth_rate * u * (1 - u - v))
             dv = -m * v
             dm = (p.protease_diffusion * laplacian_neumann(mf).values
@@ -308,7 +309,7 @@ def _split_step(state, params, dt, flux_scheme):
         explicit = (chi_v * dot + mu * w * (1.0 - u - v.values)
                     + chi_v * w * v.values * m.values)
     else:
-        drift = haptotaxis_divergence(cells, v, chi, scheme=flux_scheme)
+        drift = haptotaxis_divergence(cells, drift_velocities(v, chi), scheme=flux_scheme)
         explicit = -drift.values + mu * u * (1.0 - u - v.values)
     cells_new = helmholtz_solve(1.0, 1.0 / dt,
                                 cells.with_values(cells.values / dt + explicit))
@@ -341,25 +342,26 @@ def test_step_is_the_documented_splitting_bit_for_bit(cells, form, flux_scheme):
 
 
 @pytest.mark.parametrize("form", ["primitive", "weighted"])
-@pytest.mark.parametrize("other", ["state", "chi"])
+@pytest.mark.parametrize("other", ["state", "chi", "formulation"])
 def test_step_after_another_dt_guard_is_a_fresh_step(form, other):
-    # stable_dt on one state (or taxis) and then imex_step on another must
-    # not hand the step the first one's drift velocities or taxis weight
+    # stable_dt on one state, on one taxis, or on the other form of the same
+    # state (which shares its matrix field), and then imex_step on another
+    # must not hand the step the first one's drift velocities or taxis weight
     g = build_grid((8, 6), (1.0, 1.25))
     p = _params(mu=0.8, chi=FunctionSpec.saturating(0.3, 1.2))
     p_other = _params(mu=0.8, chi=FunctionSpec.saturating(0.6, 0.7))
     s = _smooth_state(g, seed=1)
     s_other = _smooth_state(g, seed=2)
+    s_switched = to_weighted_form(s, p)
     if form == "weighted":
-        s, s_other = to_weighted_form(s, p), to_weighted_form(s_other, p)
+        s, s_other, s_switched = s_switched, to_weighted_form(s_other, p), s
+    assert s_switched.ecm is s.ecm
     cfg = StepperConfig(t_end=1.0, dt_max=0.05, record_every=1.0)
-    if other == "state":
-        stable_dt(s_other, p, cfg)
-    else:
-        stable_dt(s, p_other, cfg)
+    guarded = {"state": (s_other, p), "chi": (s, p_other), "formulation": (s_switched, p)}
+    stable_dt(*guarded[other], cfg)
     out = imex_step(s, p, 0.01)
-    # empty both one-slot caches, so the reference step computes all afresh
-    operators._last_drift[:] = stepping._last_weight[:] = None, None, None
+    # empty the per-step slot, so the reference step computes all afresh
+    stepping._slot[:] = None, None, None, None
     fresh = imex_step(s, p, 0.01)
     for name in ("cells", "ecm", "protease", "int_protease"):
         assert np.array_equal(getattr(out, name).values,
@@ -374,7 +376,7 @@ def test_step_keeps_nothing_past_itself(form):
     if form == "weighted":
         s = to_weighted_form(s, p)
     imex_step(s, p, stable_dt(s, p, StepperConfig(1.0, 0.05, 1.0)))
-    assert operators._last_drift == stepping._last_weight == [None, None, None]
+    assert stepping._slot == [None, None, None, None]
 
 
 class TestFormulationTransforms:
