@@ -233,7 +233,13 @@ def parse_config(text: str) -> Scenario:
 
     st = data["stepper"]
     cfl_text, cfl_line = take("stepper", "cfl")
-    flux, _ = take("stepper", "flux", "upwind")
+    # upwind is the only drift flux; the key stays so that documents that
+    # name it, the benchmark's workloads among them, still parse (ROADMAP
+    # item 1 drops it)
+    flux, flux_line = take("stepper", "flux")
+    if flux not in (None, "upwind"):
+        raise ConfigError(f"flux: upwind is the only drift flux, got {flux!r}",
+                          flux_line)
     stepper = StepperConfig(
         _float(*st["t_end"]), _float(*st["dt_max"]), _float(*st["record_every"]),
         _float(cfl_text, cfl_line) if cfl_text is not None else 0.5)
@@ -248,7 +254,7 @@ def parse_config(text: str) -> Scenario:
         initial_protease=_spec(InitialSpec, "m0", *init["m0"]),
         seed=_int(seed_text, seed_line) if seed_text is not None else 0,
         jitter=_float(jitter_text, jitter_line) if jitter_text is not None else 0.0,
-        flux_scheme=flux, formulation=formulation, source_text=text)
+        formulation=formulation, source_text=text)
 
 
 def output_dir(text: str) -> str | None:
@@ -293,7 +299,7 @@ def scenario_to_config(scenario: Scenario) -> str:
         f"dt_max = {st.dt_max!r}",
         f"record_every = {st.record_every!r}",
         f"cfl = {st.cfl!r}",
-        f"flux = {scenario.flux_scheme}",
+        "flux = upwind",
         "",
         "[initial]",
         f"u0 = {_render_spec(scenario.initial_cells)}",

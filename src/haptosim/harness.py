@@ -150,7 +150,6 @@ class Scenario:
     initial_protease: InitialSpec
     seed: int = 0
     jitter: float = 0.0
-    flux_scheme: str = "upwind"
     formulation: str = PRIMITIVE
     source_text: str | None = None
 
@@ -158,17 +157,10 @@ class Scenario:
         if self.regime not in REGIMES:
             raise ValidationError(
                 f"unknown regime {self.regime!r}; expected one of {', '.join(REGIMES)}")
-        if self.flux_scheme not in ("upwind", "centered"):
-            raise ValidationError(
-                f"flux_scheme must be 'upwind' or 'centered', got {self.flux_scheme!r}")
         if self.formulation not in (PRIMITIVE, WEIGHTED):
             raise ValidationError(
                 f"formulation must be {PRIMITIVE!r} or {WEIGHTED!r}, "
                 f"got {self.formulation!r}")
-        if self.formulation == WEIGHTED and self.flux_scheme != "upwind":
-            raise ValidationError(
-                f"flux_scheme {self.flux_scheme!r} applies to the primitive "
-                f"formulation only; a weighted run has no drift flux")
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
             raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter!r}")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
@@ -408,7 +400,7 @@ def run(scenario: Scenario) -> RunResult:
             k += 1
             continue
         dt = min(stable_dt(state, params, cfg), target - state.t)
-        state = imex_step(state, params, dt, flux_scheme=scenario.flux_scheme)
+        state = imex_step(state, params, dt)
         steps += 1
         if steps > MAX_STEPS:
             raise RuntimeError(f"step budget exhausted at t={state.t:g}")

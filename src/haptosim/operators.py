@@ -6,7 +6,9 @@ and fluxes live on cell faces: the component along axis ``d`` has one
 more entry than cells along ``d``, and its first and last slices (the
 wall faces) are identically zero.  Built this way, the divergence of any
 face flux telescopes, so the Laplacian and the haptotaxis divergence
-conserve their field's volume integral to roundoff.
+conserve their field's volume integral to roundoff.  The drift flux has
+one discretization, the donor-cell (upwind) value of the transported
+field.
 
 The operators hold no state: apart from the Helmholtz solve's per-grid
 DCT basis, each call computes its result from its arguments alone.
@@ -118,22 +120,19 @@ def laplacian_neumann(f: ScalarField) -> ScalarField:
     return f.with_values(_lap_values(f.values, f.grid))
 
 
-def haptotaxis_divergence(u: ScalarField, velocities: tuple[np.ndarray, ...],
-                          scheme: str = "upwind") -> ScalarField:
-    """Divergence of the drift flux ``u * velocity``.
+def haptotaxis_divergence(u: ScalarField,
+                          velocities: tuple[np.ndarray, ...]) -> ScalarField:
+    """Divergence of the donor-cell drift flux ``u * velocity``.
 
     ``velocities`` holds one array per axis on the interior faces normal
     to it, as :func:`drift_velocities` gives them for ``chi(v) * grad v``.
-    The face flux takes, by default, the donor-cell value of ``u`` (the
-    cell the flux points away from), which keeps the explicit update
-    positivity-preserving under the usual CFL bound.  ``scheme`` may be
-    ``"centered"`` to average ``u`` onto faces instead; that variant is
-    second-order on smooth data and exists for convergence studies
-    only.  Wall fluxes vanish, so the result sums to zero over the
-    grid.
+    Each face flux takes the value of ``u`` in the donor cell, the cell
+    the velocity points away from.  Wall fluxes vanish and the face
+    differences telescope, so the result sums to zero over the grid.
+    Nothing here bounds the sign of an explicit update with it: the
+    stepper's per-axis drift guard lets a cell drain through several
+    faces in one step (ROADMAP item 2).
     """
-    if scheme not in ("upwind", "centered"):
-        raise ValidationError(f"unknown scheme {scheme!r}")
     grid = u.grid
     dims, cells = grid.dims, u.values
     if len(velocities) != dims:
@@ -146,9 +145,8 @@ def haptotaxis_divergence(u: ScalarField, velocities: tuple[np.ndarray, ...],
         if vel.shape != lo.shape:
             raise ValidationError(f"velocities along axis {d} have shape {vel.shape}, "
                                   f"not the interior faces' {lo.shape}")
-        uface = np.where(vel > 0, lo, hi) if scheme == "upwind" else 0.5 * (lo + hi)
         flux = np.zeros(shape)
-        flux[_MID[dims, d]] = uface * vel
+        flux[_MID[dims, d]] = np.where(vel > 0, lo, hi) * vel
         fluxes.append(flux)
     return ScalarField(grid, _face_divergence(grid, fluxes))
 

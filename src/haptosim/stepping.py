@@ -12,11 +12,17 @@ splitting, always in the same order:
 
 The same splitting runs in two algebraically equivalent formulations.
 The primitive one integrates the cell density ``u`` directly, with the
-donor-cell drift flux.  The weighted one integrates
-``w = u * exp(-int_0^v chi)``, whose equation trades the drift
-divergence for a first-order transport term plus reaction terms; it
-exists to cross-check the primitive discretization.  Only this module
-and the run loop, which stores every record primitive, see it.
+donor-cell drift flux, its one discretization.  The weighted one
+integrates ``w = u * exp(-int_0^v chi)``, whose equation trades the
+drift divergence for a first-order transport term plus reaction terms;
+it exists to cross-check the primitive discretization.  Only this
+module and the run loop, which stores every record primitive, see it.
+
+Neither form keeps ``u`` nonnegative on every input the validators
+accept.  The drift guard of :func:`stable_dt` is per axis, so a
+primitive cell can drain through several faces in one step (ROADMAP
+item 2), and the weighted step's centred transport term has no sign
+structure (item 3).
 
 Each step also accumulates ``int_0^t m`` per cell by the trapezoid
 rule, which feeds the exact-decay identity checks on the matrix.  The
@@ -192,12 +198,8 @@ def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
         raise BlowupError(t, bad)
 
 
-def imex_step(state: SimState, params: ModelParams, dt: float,
-              flux_scheme: str = "upwind") -> SimState:
+def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     """One IMEX step of size ``dt``; returns the state at ``t + dt``.
-
-    ``flux_scheme`` selects the drift discretization for primitive-form
-    runs ("upwind" or "centered"); weighted-form runs ignore it.
 
     The splitting of the module docstring is written out on raw arrays.
     The matrix update is :func:`step_v_exact`, the two solves go through
@@ -210,9 +212,6 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
-    if flux_scheme not in ("upwind", "centered"):
-        raise ValidationError(
-            f"flux_scheme must be 'upwind' or 'centered', got {flux_scheme!r}")
     grid = state.grid
     w, v, m = state.cells.values, state.ecm.values, state.protease.values
     _ensure_finite(state.t, w, v, m)
@@ -223,8 +222,7 @@ def imex_step(state: SimState, params: ModelParams, dt: float,
     # the cells' explicit terms come first: they are the step's last use of
     # the slot, so it empties before the solves
     if state.formulation == PRIMITIVE:
-        drift = haptotaxis_divergence(state.cells, _per_step(state, params),
-                                      scheme=flux_scheme).values
+        drift = haptotaxis_divergence(state.cells, _per_step(state, params)).values
         explicit = -drift + mu * u * (1.0 - u - v)
     else:
         dot = np.zeros(grid.shape)

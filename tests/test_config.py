@@ -91,25 +91,43 @@ def test_parse_defaults():
     assert s.formulation == "primitive"
     assert s.grid.origin == (0.0,)
     assert s.stepper.cfl == 0.5
-    assert s.flux_scheme == "upwind"
     assert s.seed == 0
     assert s.jitter == 0.0
 
 
 def test_parse_optional_keys():
-    # flux applies to the primitive form only, so each form gets a document
-    for formulation, flux in ((WEIGHTED, "upwind"), (PRIMITIVE, "centered")):
+    for formulation in (PRIMITIVE, WEIGHTED):
         s = parse_config(config_text(
             model__name="named run", model__formulation=formulation,
-            grid__origin="-1.0", stepper__cfl="0.25", stepper__flux=flux,
+            grid__origin="-1.0", stepper__cfl="0.25", stepper__flux="upwind",
             initial__seed="7", initial__jitter="0.01"))
         assert s.name == "named run"
         assert s.formulation == formulation
         assert s.grid.origin == (-1.0,)
         assert s.stepper.cfl == 0.25
-        assert s.flux_scheme == flux
         assert s.seed == 7
         assert s.jitter == 0.01
+
+
+def test_upwind_flux_line_changes_nothing():
+    with_line = parse_config(config_text(stepper__flux="upwind"))
+    without = parse_config(config_text())
+    assert replace(with_line, source_text=None) == replace(without, source_text=None)
+
+
+@pytest.mark.parametrize("flux", ["centered", "quick"])
+def test_flux_other_than_upwind_is_a_parse_error(flux, tmp_path, capsys):
+    # upwind is the only drift flux; the key is kept so documents naming it parse
+    text = config_text(stepper__flux=flux)
+    lineno = text.splitlines().index(f"flux = {flux}") + 1
+    message = f"line {lineno}: flux: upwind is the only drift flux, got '{flux}'"
+    with pytest.raises(ConfigError, match=f"^{message}$") as info:
+        parse_config(text)
+    assert info.value.lineno == lineno
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_two_dimensional_grid():
@@ -368,9 +386,8 @@ def test_custom_round_trip_keeps_every_field():
         initial_cells=InitialSpec.tabulated([0.0, 1.0], [1.0, 2.0]),
         initial_matrix=InitialSpec.bump(0.5, 0.2, 0.3, 0.1),
         initial_protease=InitialSpec.constant(0.0),
-        seed=3, jitter=0.02, flux_scheme="centered")
-    # flux applies to the primitive form only, so the weighted one is upwind
-    for case in (scenario, replace(scenario, flux_scheme="upwind", formulation=WEIGHTED)):
+        seed=3, jitter=0.02)
+    for case in (scenario, replace(scenario, formulation=WEIGHTED)):
         parsed = parse_config(scenario_to_config(case))
         assert replace(parsed, source_text=None) == case
 

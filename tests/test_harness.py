@@ -132,14 +132,6 @@ def test_scenario_rejects_unknown_regime():
         quick_scenario(regime="theorem_bound7")
 
 
-def test_scenario_rejects_bad_flux_scheme():
-    with pytest.raises(ValidationError, match="flux_scheme"):
-        quick_scenario(flux_scheme="quick")
-    # a weighted step has no drift flux, so it would ignore a centered one
-    with pytest.raises(ValidationError, match="primitive formulation only"):
-        quick_scenario(flux_scheme="centered", formulation=WEIGHTED)
-
-
 def test_scenario_rejects_bad_formulation():
     with pytest.raises(ValidationError, match="formulation"):
         quick_scenario(formulation="mixed")
@@ -468,9 +460,9 @@ def test_primitive_run_evaluates_the_drift_velocities_once_per_step(monkeypatch)
         computed.append(drift(v, chi))
         return computed[-1]
 
-    def divergence(u, velocities, scheme="upwind"):
+    def divergence(u, velocities):
         transported.append(velocities)
-        return transport(u, velocities, scheme=scheme)
+        return transport(u, velocities)
 
     def step(state, *args, **kwargs):
         steps.append(state.t)
@@ -484,13 +476,6 @@ def test_primitive_run_evaluates_the_drift_velocities_once_per_step(monkeypatch)
     assert len(steps) >= 10
     assert len(computed) == len(transported) == len(steps)
     assert all(sent is made for sent, made in zip(transported, computed))
-
-
-def test_run_centered_flux_differs_from_upwind():
-    up = run(quick_scenario(t_end=0.5))
-    cen = run(quick_scenario(t_end=0.5, flux_scheme="centered"))
-    assert not np.array_equal(up.series["cell_dev_l2"].values,
-                              cen.series["cell_dev_l2"].values)
 
 
 def test_run_validates_regime_hypotheses_up_front():

@@ -184,14 +184,6 @@ class TestHaptotaxisDivergence:
         out = haptotaxis_divergence(u, drift_velocities(v_dec, FunctionSpec.constant(1.0)))
         assert np.array_equal(out.values, np.array([-5.0, 5.0]))
 
-    def test_centered_averages_faces(self):
-        g = build_grid(2, 2.0)
-        v = ScalarField(g, np.array([0.0, 1.0]))
-        u = ScalarField(g, np.array([2.0, 5.0]))
-        out = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(1.0)),
-                                    scheme="centered")
-        assert np.array_equal(out.values, np.array([3.5, -3.5]))
-
     @pytest.mark.parametrize("shape", [(20,), (7, 6)])
     def test_conserves_integral(self, shape):
         g = build_grid(shape, 1.0)
@@ -201,8 +193,7 @@ class TestHaptotaxisDivergence:
             u, drift_velocities(v, FunctionSpec.saturating(0.2, 1.0)))
         assert abs(np.sum(out.values)) < 1e-11 * np.abs(out.values).max()
 
-    @pytest.mark.parametrize("scheme,floor", [("upwind", 0.9), ("centered", 1.9)])
-    def test_convergence_order(self, scheme, floor):
+    def test_convergence_order(self):
         # smooth oracle: d/dx(u * c * v') = c*(u' v' + u v'') for constant chi
         c = 0.5
         errs = []
@@ -215,37 +206,27 @@ class TestHaptotaxisDivergence:
                          (-0.2 * np.pi * np.sin(np.pi * x)) +
                          (1.0 + 0.3 * np.cos(np.pi * x)) *
                          (-0.2 * np.pi**2 * np.cos(np.pi * x)))
-            got = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(c)),
-                                        scheme=scheme)
+            got = haptotaxis_divergence(u, drift_velocities(v, FunctionSpec.constant(c)))
             # skip the wall cells: the zero-flux closure is exact for the
             # continuum problem but first-order for an arbitrary smooth field
             errs.append(np.max(np.abs(got.values - exact)[2:-2]))
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
-        assert np.min(orders) >= floor
+        assert np.min(orders) >= 0.9
 
-    def test_rejects_unknown_scheme(self):
-        g = build_grid(4, 1.0)
-        with pytest.raises(ValidationError):
-            haptotaxis_divergence(ScalarField.zeros(g),
-                                  drift_velocities(ScalarField.zeros(g),
-                                                   FunctionSpec.constant(1.0)),
-                                  scheme="quick")
-
-    @pytest.mark.parametrize("scheme", ["upwind", "centered"])
-    def test_rejects_velocities_off_the_interior_faces(self, scheme):
+    def test_rejects_velocities_off_the_interior_faces(self):
         chi = FunctionSpec.constant(1.0)
         u = _random_field(build_grid((3, 5), 1.0), 25)
         faces = drift_velocities(_random_field(u.grid, 26), chi)
         # one array too few, and one too many
         for wrong in (faces[:1], faces + faces[:1]):
             with pytest.raises(ValidationError, match="one velocity array per axis"):
-                haptotaxis_divergence(u, wrong, scheme=scheme)
+                haptotaxis_divergence(u, wrong)
         # another grid's faces: transposed, and one row short, whose (1, 5)
         # axis-0 velocities would broadcast against u's (2, 5) faces unchecked
         for cells in ((5, 3), (2, 5)):
             other = drift_velocities(_random_field(build_grid(cells, 1.0), 27), chi)
             with pytest.raises(ValidationError, match="interior faces"):
-                haptotaxis_divergence(u, other, scheme=scheme)
+                haptotaxis_divergence(u, other)
 
 
 ANISO_CELLS = (4, 3, 5)
