@@ -20,7 +20,7 @@ def main():
     result = run(scenario)
     report = verify(result)
 
-    predicted = result.u_bar * float(params.production(0.0)) / params.protease_decay
+    predicted = params.steady_protease(result.u_bar)
     print(f"ran {scenario.name} to t={result.final_state.t:g} "
           f"in {result.wall_time:.2f}s")
     print(f"predicted matrix decay rate ubar*g(0)/gamma = {predicted:g}\n")

@@ -361,7 +361,7 @@ def steady_classify(state: SimState, params: ModelParams,
 
     k = float(np.mean(u))
     if np.max(np.abs(v)) <= tol and np.max(np.abs(u - k)) <= tol:
-        m_star = k * float(params.production(0.0)) / params.protease_decay
+        m_star = params.steady_protease(k)
         if np.max(np.abs(m - m_star)) > tol:
             raise AmbiguousSteadyStateError(
                 f"protease level does not balance production (expected {m_star:.6g})",

@@ -1,19 +1,19 @@
 """Strict key=value configuration documents and run artifacts.
 
 The format is deliberately flat: five known sections, known keys only,
-``#`` comments, one ``key = value`` per line.  Unknown sections or
-keys, duplicates, empty values and malformed values are parse errors
-that cite the offending line, so a typo can never silently change which
-hypotheses a run claims to satisfy, nor an empty ``dir`` send a run's
-artifacts into the working directory.  Semantic problems (negative
-coefficients, violated regime hypotheses) surface as validation errors
-from the model layer instead, with the violated requirement named; those
-in the grid, a coefficient function or an initial field also cite the
-line and key.
+``#`` comments, one ``key = value`` per line, and an optional leading
+byte order mark.  Unknown sections or keys, duplicates, empty values
+and malformed values are parse errors that cite the offending line, so
+a typo can never silently change which hypotheses a run claims to
+satisfy, nor an empty ``dir`` send a run's artifacts into the working
+directory.  Semantic problems (negative coefficients, violated regime
+hypotheses) surface as validation errors from the model layer instead,
+with the violated requirement named; those in the value of one entry
+also cite its line and key.
 
-A parsed :class:`~.harness.Scenario` keeps the exact document text, so
-the ``config_echo`` artifact written next to run outputs reproduces
-the input byte for byte and re-parses to an identical scenario.
+A parsed :class:`~.harness.Scenario` keeps the document text outside
+its equality, and the ``config_echo`` artifact reproduces it byte for
+byte while it still parses back to the scenario that ran.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .model import (
     FamilySpec,
     FunctionSpec,
     ModelParams,
-    PRIMITIVE,
     SimState,
     ValidationError,
     build_grid,
@@ -75,7 +74,8 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     """Split the document into sections of (value, lineno) entries."""
     out: dict[str, dict[str, tuple[str, int]]] = {}
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a leading byte order mark is not part of the first line
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -125,8 +125,20 @@ def _int(value: str, lineno: int) -> int:
         raise ConfigError(f"expected an integer, got {value!r}", lineno) from None
 
 
-def _floats(value: str, lineno: int) -> tuple[float, ...]:
-    return tuple(_float(part.strip(), lineno) for part in value.split(","))
+def _floats(value: str, lineno: int) -> float | tuple[float, ...]:
+    numbers = tuple(_float(part.strip(), lineno) for part in value.split(","))
+    # a single entry stays a scalar, which build_grid broadcasts to every axis
+    return numbers if len(numbers) > 1 else numbers[0]
+
+
+def _text(value: str, lineno: int) -> str:
+    return value
+
+
+def _optional(entries: dict, key: str, parse: Callable[[str, int], object]) -> dict:
+    """``{key: parse(value, lineno)}`` if the section holds ``key``, else ``{}``,
+    so that a key the document leaves out takes its dataclass's default."""
+    return {key: parse(*entries[key])} if key in entries else {}
 
 
 def _call_form(value: str, lineno: int) -> tuple[str, list[str]]:
@@ -157,14 +169,27 @@ _FORMS = {
 }
 
 
+# the document key of each model-layer field whose name differs from it
+_KEYS = {"growth_rate": "mu", "protease_decay": "gamma",
+         "protease_diffusion": "diffusion", "extents": "extent"}
+
+
 @contextlib.contextmanager
-def _located(key: str, lineno: int | None):
+def _located(lines: dict[str, int], key: str | None = None):
     """Raise a model-layer ValidationError again, as the same type, with
-    the entry's line and key in front."""
+    the line and key of the entry at fault in front.
+
+    That entry is ``key`` if given, else the one that holds the field the
+    error names.  An error that names no entry of ``lines`` is raised
+    unchanged: a regime hypothesis or the step budget involves several.
+    """
     try:
         yield
     except ValidationError as exc:
-        raise ValidationError(f"line {lineno}: {key}: {exc}") from None
+        key = key or _KEYS.get(exc.field, exc.field)
+        if key not in lines:
+            raise
+        raise ValidationError(f"line {lines[key]}: {key}: {exc}") from None
 
 
 def _spec(cls: type[FamilySpec], key: str, value: str, lineno: int) -> FamilySpec:
@@ -178,7 +203,7 @@ def _spec(cls: type[FamilySpec], key: str, value: str, lineno: int) -> FamilySpe
     """
     family, args = _call_form(value, lineno)
     arity = cls.ARITY.get(family, 0)
-    with _located(key, lineno):
+    with _located({key: lineno}, key):
         if arity is None and args:
             return cls.tabulated(*_pairs(args, lineno))
         if arity:
@@ -193,68 +218,52 @@ def parse_config(text: str) -> Scenario:
 
     Raises :class:`ConfigError` for structural problems (with the line
     number) and the model layer's validation errors for semantic ones,
-    including the regime hypotheses the built Scenario checks.
+    including the regime hypotheses the built Scenario checks.  An error
+    in the value of one entry cites its line and key.
     """
     data = _scan(text)
+    model, grid_sec, st, init = (data[name] for name in
+                                 ("model", "grid", "stepper", "initial"))
+    # every key's line, by key alone: no key belongs to two sections
+    lines = {key: lineno for entries in data.values()
+             for key, (_, lineno) in entries.items()}
+    regime, _ = model["regime"]
+    name, _ = model.get("name", model["regime"])
+    with _located(lines):
+        params = ModelParams(
+            growth_rate=_float(*model["mu"]),
+            protease_decay=_float(*model["gamma"]),
+            protease_diffusion=_float(*model["diffusion"]),
+            taxis=_spec(FunctionSpec, "taxis", *model["taxis"]),
+            production=_spec(FunctionSpec, "production", *model["production"]))
 
-    def take(section: str, key: str, default=None):
-        entry = data.get(section, {}).get(key)
-        return entry if entry is not None else (default, None)
-
-    model = data["model"]
-    regime, _ = take("model", "regime")
-    name, _ = take("model", "name", regime)
-    mu_text, mu_line = model["mu"]
-    params = ModelParams(
-        growth_rate=_float(mu_text, mu_line),
-        protease_decay=_float(*model["gamma"]),
-        protease_diffusion=_float(*model["diffusion"]),
-        taxis=_spec(FunctionSpec, "taxis", *model["taxis"]),
-        production=_spec(FunctionSpec, "production", *model["production"]))
-    formulation, _ = take("model", "formulation", PRIMITIVE)
-
-    grid_sec = data["grid"]
-    cells_text, cells_line = grid_sec["cells"]
-    cells = tuple(_int(part.strip(), cells_line) for part in cells_text.split(","))
-    extent_text, extent_line = grid_sec["extent"]
-    extent = _floats(extent_text, extent_line)
-    origin_text, origin_line = take("grid", "origin")
-    origin = _floats(origin_text, origin_line) if origin_text is not None else (0.0,)
-    # a single entry is broadcast to every axis
-    extent, origin = (v if len(v) > 1 else v[0] for v in (extent, origin))
-    # built in three stages, each adding one entry, so that an error cites
-    # the line and key of the entry whose addition raised it
-    with _located("cells", cells_line):
+        cells_text, cells_line = grid_sec["cells"]
+        cells = tuple(_int(part.strip(), cells_line) for part in cells_text.split(","))
+        # the cells alone first, so that a bad cells entry is blamed before
+        # an extent or origin list is compared with it
         build_grid(cells, 1.0)
-    with _located("extent", extent_line):
-        build_grid(cells, extent)
-    with _located("origin", origin_line):
-        grid = build_grid(cells, extent, origin)
+        grid = build_grid(cells, _floats(*grid_sec["extent"]),
+                          **_optional(grid_sec, "origin", _floats))
 
-    st = data["stepper"]
-    cfl_text, cfl_line = take("stepper", "cfl")
-    # upwind is the only drift flux; the key stays so that documents that
-    # name it, the benchmark's workloads among them, still parse (ROADMAP
-    # item 1 drops it)
-    flux, flux_line = take("stepper", "flux")
-    if flux not in (None, "upwind"):
-        raise ConfigError(f"flux: upwind is the only drift flux, got {flux!r}",
-                          flux_line)
-    stepper = StepperConfig(
-        _float(*st["t_end"]), _float(*st["dt_max"]), _float(*st["record_every"]),
-        _float(cfl_text, cfl_line) if cfl_text is not None else 0.5)
+        # upwind is the only drift flux; the key stays so that documents that
+        # name it, the benchmark's workloads among them, still parse (ROADMAP
+        # item 1 drops it)
+        flux, flux_line = st.get("flux", ("upwind", None))
+        if flux != "upwind":
+            raise ConfigError(f"flux: upwind is the only drift flux, got {flux!r}",
+                              flux_line)
+        stepper = StepperConfig(
+            _float(*st["t_end"]), _float(*st["dt_max"]), _float(*st["record_every"]),
+            **_optional(st, "cfl", _float))
 
-    init = data["initial"]
-    seed_text, seed_line = take("initial", "seed")
-    jitter_text, jitter_line = take("initial", "jitter")
-    return Scenario(
-        name=name, regime=regime, params=params, grid=grid, stepper=stepper,
-        initial_cells=_spec(InitialSpec, "u0", *init["u0"]),
-        initial_matrix=_spec(InitialSpec, "v0", *init["v0"]),
-        initial_protease=_spec(InitialSpec, "m0", *init["m0"]),
-        seed=_int(seed_text, seed_line) if seed_text is not None else 0,
-        jitter=_float(jitter_text, jitter_line) if jitter_text is not None else 0.0,
-        formulation=formulation, source_text=text)
+        return Scenario(
+            name=name, regime=regime, params=params, grid=grid, stepper=stepper,
+            initial_cells=_spec(InitialSpec, "u0", *init["u0"]),
+            initial_matrix=_spec(InitialSpec, "v0", *init["v0"]),
+            initial_protease=_spec(InitialSpec, "m0", *init["m0"]),
+            **_optional(model, "formulation", _text),
+            **_optional(init, "seed", _int), **_optional(init, "jitter", _float),
+            source_text=text)
 
 
 def output_dir(text: str) -> str | None:
@@ -333,9 +342,12 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     on read-back.  Snapshots hold the run's records, which are primitive
     whichever formulation the run used.  Two records whose times agree
     to the 6 decimals of the snapshot name raise ValidationError before
-    anything is touched.  Files an earlier run left that this one does
-    not rewrite are deleted: other ``snapshots/state_*.csv`` files and,
-    when ``report`` is None, ``report.txt``.  Nothing else is touched.
+    anything is touched, as does a ``source_text`` that does not parse.
+    Files an earlier run left that this one does not rewrite are
+    deleted: other ``snapshots/state_*.csv`` files and, when ``report``
+    is None, ``report.txt``.  Nothing else is touched.  config_echo is
+    ``source_text`` while that parses back to the scenario, else
+    :func:`scenario_to_config`'s rendering.
 
     The snapshots are written by one process per usable CPU, this one and
     forked children (see :func:`_write_snapshots`); the bytes are the
@@ -347,6 +359,9 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     above with the snapshots in record order.
     """
     out = Path(out_dir)
+    echo = result.scenario.source_text
+    if echo is None or parse_config(echo) != result.scenario:
+        echo = scenario_to_config(result.scenario)
     snapshots: dict[Path, SimState] = {}
     for state in result.recorded_states:
         path = out / "snapshots" / f"state_{state.t:.6f}.csv"
@@ -394,10 +409,7 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
         written.append(report_path)
 
     echo_path = out / "config_echo.ini"
-    text = result.scenario.source_text
-    if text is None:
-        text = scenario_to_config(result.scenario)
-    echo_path.write_text(text, encoding="utf-8")
+    echo_path.write_text(echo, encoding="utf-8")
     written.append(echo_path)
     return written
 

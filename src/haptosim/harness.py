@@ -20,7 +20,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -137,7 +137,9 @@ class Scenario:
     integer ``>= 0``, as numpy's generator needs, whether or not there
     is jitter to seed.  Construction evaluates the initial fields, then
     checks them, the step budget and the regime's hypotheses, in that
-    order.
+    order; a check of one field's own value names it in the error.
+    ``source_text``, the parsed document if any, is outside equality and
+    the hash, so documents that differ only in layout give equal scenarios.
     """
 
     name: str
@@ -151,20 +153,23 @@ class Scenario:
     seed: int = 0
     jitter: float = 0.0
     formulation: str = PRIMITIVE
-    source_text: str | None = None
+    source_text: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.regime not in REGIMES:
             raise ValidationError(
-                f"unknown regime {self.regime!r}; expected one of {', '.join(REGIMES)}")
+                f"unknown regime {self.regime!r}; expected one of {', '.join(REGIMES)}",
+                "regime")
         if self.formulation not in (PRIMITIVE, WEIGHTED):
             raise ValidationError(
                 f"formulation must be {PRIMITIVE!r} or {WEIGHTED!r}, "
-                f"got {self.formulation!r}")
+                f"got {self.formulation!r}", "formulation")
         if not (math.isfinite(self.jitter) and self.jitter >= 0):
-            raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter!r}")
+            raise ValidationError(f"jitter must be finite and >= 0, got {self.jitter!r}",
+                                  "jitter")
         if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}",
+                                  "seed")
         for fname in ("initial_cells", "initial_matrix", "initial_protease"):
             if not isinstance(getattr(self, fname), InitialSpec):
                 raise ValidationError(f"{fname} must be an InitialSpec")
@@ -375,7 +380,7 @@ def run(scenario: Scenario) -> RunResult:
     u0, v0, m0 = scenario.initial_fields
     params, cfg = scenario.params, scenario.stepper
     u_bar = 1.0 if params.growth_rate > 0 else float(np.mean(u0.values))
-    m_star = u_bar * float(params.production(0.0)) / params.protease_decay
+    m_star = params.steady_protease(u_bar)
 
     state = initial_state(u0, v0, m0)
     weighted = scenario.formulation == WEIGHTED
@@ -440,12 +445,17 @@ def verify(result: RunResult) -> TheoremReport:
     return TheoremReport(regime, tuple(claims))
 
 
+# the final state of a theorem_bound3 run is steady when its residual is
+# at most this; the classification and the claim share it
+_STEADY_TOL = 1e-5
+
+
 def _bound3_claims(result: RunResult) -> list[Claim]:
     params, series, final = result.scenario.params, result.series, result.final_state
-    predicted = result.u_bar * float(params.production(0.0)) / params.protease_decay
+    predicted = params.steady_protease(result.u_bar)
     # the classification's residual, or its error's, is the claimed one
     try:
-        steady = steady_classify(final, params, tol=1e-5)
+        steady = steady_classify(final, params, tol=_STEADY_TOL)
         k, residual = steady.k, steady.residual
     except (NotSteadyError, AmbiguousSteadyStateError) as exc:
         k, residual = None, exc.residual
@@ -456,7 +466,7 @@ def _bound3_claims(result: RunResult) -> list[Claim]:
         *fit_claims("protease_dev", series["protease_dev_l2"], 0.95),
         # the gradient series is claimed to decay, not to decay log-linearly
         *fit_claims("grad_sqrt_matrix", series["grad_sqrt_matrix_l2"], None),
-        judge("final_steady_residual", 1e-5, residual),
+        judge("final_steady_residual", _STEADY_TOL, residual),
         # extinct cells carry no level; k is 1.0 only in the invaded state
         judge("final_state_homogeneous", 1.0, math.nan if k is None else k,
               operator.eq),
@@ -549,8 +559,7 @@ def convergence_study(scenario: Scenario, levels: int = 3) -> ConvergenceStudy:
                 grid=Grid(tuple(n * 2 ** lev for n in base_grid.cells),
                           base_grid.extents, base_grid.origin),
                 stepper=StepperConfig(base_cfg.t_end, base_cfg.dt_max / 4 ** lev,
-                                      base_cfg.t_end, base_cfg.cfl),
-                source_text=None)
+                                      base_cfg.t_end, base_cfg.cfl))
         for lev in range(levels)]
     finals = [run(level).final_state.cells.values for level in scenarios]
     grids = [level.grid for level in scenarios]

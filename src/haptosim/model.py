@@ -33,7 +33,15 @@ __all__ = [
 ]
 
 class ValidationError(ValueError):
-    """Raised when grid, field, coefficient, or parameter data is invalid."""
+    """Raised when grid, field, coefficient, or parameter data is invalid.
+
+    ``field`` names the field or argument whose own value a check
+    rejected, when the check looks at that one value; else it is None.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 def _as_tuple(value, dims: int, kind: type, name: str) -> tuple:
@@ -43,7 +51,7 @@ def _as_tuple(value, dims: int, kind: type, name: str) -> tuple:
     out = tuple(kind(x) for x in value)
     if len(out) != dims:
         raise ValidationError(
-            f"{name} has {len(out)} entries, but cells has {dims}")
+            f"{name} has {len(out)} entries, but cells has {dims}", name)
     return out
 
 
@@ -63,15 +71,17 @@ class Grid:
     def __post_init__(self):
         dims = len(self.cells)
         if not 1 <= dims <= 3:
-            raise ValidationError(f"grid dims must be 1..3, got {dims}")
+            raise ValidationError(f"grid dims must be 1..3, got {dims}", "cells")
         if len(self.extents) != dims or len(self.origin) != dims:
             raise ValidationError("cells, extents, origin must agree in length")
         if any(n < 2 for n in self.cells):
-            raise ValidationError(f"need at least 2 cells per dim, got {self.cells}")
+            raise ValidationError(f"need at least 2 cells per dim, got {self.cells}",
+                                  "cells")
         if any(not (e > 0 and math.isfinite(e)) for e in self.extents):
-            raise ValidationError(f"extents must be positive finite, got {self.extents}")
+            raise ValidationError(f"extents must be positive finite, got {self.extents}",
+                                  "extents")
         if any(not math.isfinite(o) for o in self.origin):
-            raise ValidationError("origin must be finite")
+            raise ValidationError("origin must be finite", "origin")
 
     @property
     def dims(self) -> int:
@@ -401,13 +411,21 @@ class ModelParams:
         for name in ("protease_diffusion", "protease_decay"):
             x = getattr(self, name)
             if not (math.isfinite(x) and x > 0):
-                raise ValidationError(f"{name} must be positive and finite, got {x!r}")
+                raise ValidationError(f"{name} must be positive and finite, got {x!r}",
+                                      name)
         if not (math.isfinite(self.growth_rate) and self.growth_rate >= 0):
             raise ValidationError(
-                f"growth_rate must be finite and >= 0, got {self.growth_rate!r}")
+                f"growth_rate must be finite and >= 0, got {self.growth_rate!r}",
+                "growth_rate")
         for name in ("taxis", "production"):
             if not isinstance(getattr(self, name), FunctionSpec):
                 raise ValidationError(f"{name} must be a FunctionSpec")
+
+    def steady_protease(self, cell_level: float) -> float:
+        """The flat protease level ``k * g(0) / gamma`` that balances a flat
+        cell level ``k`` on bare matrix; with ``k = u_bar`` it is the limit
+        ``m*`` of regime theorem_bound3, and the matrix's decay rate there."""
+        return cell_level * float(self.production(0.0)) / self.protease_decay
 
 
 PRIMITIVE = "primitive"

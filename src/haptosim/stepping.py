@@ -101,9 +101,10 @@ class StepperConfig:
         for name in ("t_end", "dt_max", "record_every"):
             x = getattr(self, name)
             if not (math.isfinite(x) and x > 0):
-                raise ValidationError(f"{name} must be positive and finite, got {x!r}")
+                raise ValidationError(f"{name} must be positive and finite, got {x!r}",
+                                      name)
         if not 0 < self.cfl <= 1:
-            raise ValidationError(f"cfl must be in (0, 1], got {self.cfl!r}")
+            raise ValidationError(f"cfl must be in (0, 1], got {self.cfl!r}", "cfl")
 
 
 def step_v_exact(v: ScalarField, m: ScalarField, dt: float) -> ScalarField:

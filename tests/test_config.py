@@ -112,7 +112,7 @@ def test_parse_optional_keys():
 def test_upwind_flux_line_changes_nothing():
     with_line = parse_config(config_text(stepper__flux="upwind"))
     without = parse_config(config_text())
-    assert replace(with_line, source_text=None) == replace(without, source_text=None)
+    assert with_line == without
 
 
 @pytest.mark.parametrize("flux", ["centered", "quick"])
@@ -181,6 +181,62 @@ def test_grid_length_errors_name_the_argument(key, value, message, tmp_path, cap
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
     assert re.fullmatch(f"error: line {lineno}: {message}\n", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("model__regime", "theorem_9", "unknown regime 'theorem_9'; expected one of "
+     "theorem_bound3, theorem_bound5, mu_zero_conservation, byrne_baseline, custom"),
+    ("model__mu", "-1.0", "growth_rate must be finite and >= 0, got -1.0"),
+    ("model__gamma", "0.0", "protease_decay must be positive and finite, got 0.0"),
+    ("model__diffusion", "inf", "protease_diffusion must be positive and finite, got inf"),
+    ("model__formulation", "mixed",
+     "formulation must be 'primitive' or 'weighted', got 'mixed'"),
+    ("stepper__t_end", "0.0", "t_end must be positive and finite, got 0.0"),
+    ("stepper__dt_max", "nan", "dt_max must be positive and finite, got nan"),
+    ("stepper__record_every", "-0.1", "record_every must be positive and finite, got -0.1"),
+    ("stepper__cfl", "1.5", "cfl must be in (0, 1], got 1.5"),
+    ("initial__seed", "-2", "seed must be an integer >= 0, got -2"),
+    ("initial__jitter", "-0.1", "jitter must be finite and >= 0, got -0.1"),
+], ids=["regime", "mu", "gamma", "diffusion", "formulation", "t_end", "dt_max",
+        "record_every", "cfl", "seed", "jitter"])
+def test_scalar_errors_name_the_line_and_key(key, value, message, tmp_path, capsys):
+    # the model layer names the field it rejects, and the parser turns that
+    # field into the document's key and line
+    text = config_text(**{key: value})
+    name = key.split("__")[1]
+    lineno = text.splitlines().index(f"{name} = {value}") + 1
+    located = f"line {lineno}: {name}: {message}"
+    with pytest.raises(ValidationError) as info:
+        parse_config(text)
+    assert str(info.value) == located
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {located}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_byte_order_mark_is_ignored_and_echoed(tmp_path, capsys):
+    text = "\ufeff" + config_text()
+    assert parse_config(text) == parse_config(config_text())
+    cfg = tmp_path / "bom.ini"
+    cfg.write_bytes(text.encode("utf-8"))
+    assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "config_echo.ini").read_bytes() == cfg.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: "# the same run\n" + text.replace("[grid]", "[grid]\n# a comment"),
+    lambda text: text + "\n[output]\ndir = elsewhere\n",
+], ids=["comment", "output-dir"])
+def test_layout_does_not_change_the_scenario(edit):
+    # a scenario means what it runs: its document's layout is not part of it
+    plain, edited = config_text(), edit(config_text())
+    assert plain != edited
+    assert parse_config(plain) == parse_config(edited)
+    assert hash(parse_config(plain)) == hash(parse_config(edited))
+    assert parse_config(edited).source_text == edited
 
 
 @pytest.mark.parametrize("key", ["output__dir", "model__name"])
@@ -372,8 +428,7 @@ def test_negative_initial_data_rejected():
 @pytest.mark.parametrize("name", preset_names())
 def test_preset_round_trip(name):
     scenario = preset_scenario(name)
-    parsed = parse_config(scenario_to_config(scenario))
-    assert replace(parsed, source_text=None) == scenario
+    assert parse_config(scenario_to_config(scenario)) == scenario
 
 
 def test_custom_round_trip_keeps_every_field():
@@ -388,8 +443,7 @@ def test_custom_round_trip_keeps_every_field():
         initial_protease=InitialSpec.constant(0.0),
         seed=3, jitter=0.02)
     for case in (scenario, replace(scenario, formulation=WEIGHTED)):
-        parsed = parse_config(scenario_to_config(case))
-        assert replace(parsed, source_text=None) == case
+        assert parse_config(scenario_to_config(case)) == case
 
 
 @settings(max_examples=25, deadline=None)
@@ -409,8 +463,7 @@ def test_round_trip_is_exact_for_arbitrary_floats(mu, gamma, diffusion, chi0,
         initial_cells=InitialSpec.bump(center, width, amplitude, 0.5),
         initial_matrix=InitialSpec.constant(0.4),
         initial_protease=InitialSpec.constant(0.1))
-    parsed = parse_config(scenario_to_config(scenario))
-    assert replace(parsed, source_text=None) == scenario
+    assert parse_config(scenario_to_config(scenario)) == scenario
 
 
 _NUMBER = st.floats(-1e6, 1e6)
@@ -453,8 +506,7 @@ def test_round_trip_is_exact_for_every_family(kind, data):
         grid=build_grid(8, 1.0), stepper=StepperConfig(0.5, 0.05, 0.1),
         initial_cells=initials[0], initial_matrix=initials[1],
         initial_protease=initials[2])
-    parsed = parse_config(scenario_to_config(scenario))
-    assert replace(parsed, source_text=None) == scenario
+    assert parse_config(scenario_to_config(scenario)) == scenario
 
 
 # ---------------------------------------------------------------------------
@@ -856,10 +908,65 @@ def test_config_echo_reproduces_the_input(tiny_result, tmp_path):
 
 
 def test_config_echo_falls_back_to_canonical_render(tiny_result, tmp_path):
-    scenario = replace(tiny_result.scenario, source_text=None)
+    # replace() carries the parsed text along, which describes the scenario
+    # it started from
+    scenario = replace(tiny_result.scenario, name="renamed")
+    assert scenario.source_text == tiny_result.scenario.source_text
     emit_outputs(replace(tiny_result, scenario=scenario), None, tmp_path)
     echo = (tmp_path / "config_echo.ini").read_text()
     assert echo == scenario_to_config(scenario)
+    assert parse_config(echo) == scenario
+
+
+def test_replaced_stepper_is_echoed(tmp_path):
+    text = scenario_to_config(preset_scenario("byrne_baseline")).replace(
+        "t_end = 10.0", "t_end = 0.05")
+    parsed = parse_config(text)
+    assert parsed.stepper.t_end == 0.05
+    scenario = replace(parsed, stepper=replace(parsed.stepper, t_end=0.1))
+    emit_outputs(run(scenario), None, tmp_path)
+    echoed = parse_config((tmp_path / "config_echo.ini").read_text())
+    assert echoed.stepper.t_end == 0.1
+    assert echoed == scenario
+
+
+@pytest.mark.parametrize("text", [None, config_text(stepper__t_end="0.25")],
+                         ids=["no-text", "other-text"])
+def test_config_echo_of_a_scenario_built_by_hand(text, tiny_result, tmp_path):
+    parsed = tiny_result.scenario
+    scenario = Scenario(
+        name="by hand", regime="custom", params=parsed.params, grid=parsed.grid,
+        stepper=parsed.stepper, initial_cells=parsed.initial_cells,
+        initial_matrix=parsed.initial_matrix,
+        initial_protease=parsed.initial_protease, source_text=text)
+    emit_outputs(replace(tiny_result, scenario=scenario), None, tmp_path)
+    assert (tmp_path / "config_echo.ini").read_text() == scenario_to_config(scenario)
+
+
+def test_config_echo_text_that_does_not_parse_raises_first(tiny_result, tmp_path):
+    scenario = replace(tiny_result.scenario, source_text="[model\n")
+    with pytest.raises(ConfigError, match="line 1: malformed section header"):
+        emit_outputs(replace(tiny_result, scenario=scenario), None, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
+def test_convergence_levels_echo_their_own_grids(tmp_path, monkeypatch):
+    # each level refines the parsed scenario and carries its text along
+    results = []
+
+    def kept(level):
+        results.append(run(level))
+        return results[-1]
+    monkeypatch.setattr(harness, "run", kept)
+    harness.convergence_study(parse_config(config_text(
+        grid__cells="8", stepper__t_end="0.02", stepper__dt_max="0.002",
+        stepper__record_every="0.02")), levels=3)
+    assert [r.scenario.grid.cells for r in results] == [(8,), (16,), (32,)]
+    for level, result in enumerate(results):
+        emit_outputs(result, None, tmp_path / str(level))
+        echo = (tmp_path / str(level) / "config_echo.ini").read_text()
+        assert parse_config(echo) == result.scenario
+    assert (tmp_path / "0" / "config_echo.ini").read_text() == results[0].scenario.source_text
 
 
 # ---------------------------------------------------------------------------
@@ -978,10 +1085,12 @@ def test_cli_rejects_production_negative_past_the_old_probe_range(tmp_path, caps
 @pytest.mark.parametrize("jitter", ["0", "0.1"])
 def test_cli_reports_negative_seed(tmp_path, capsys, jitter):
     # with jitter this ended in numpy's traceback; without, it was accepted
-    cfg = write_config(tmp_path, config_text(initial__seed="-1",
-                                             initial__jitter=jitter))
+    text = config_text(initial__seed="-1", initial__jitter=jitter)
+    lineno = text.splitlines().index("seed = -1") + 1
+    cfg = write_config(tmp_path, text)
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+    assert capsys.readouterr().err == (
+        f"error: line {lineno}: seed: seed must be an integer >= 0, got -1\n")
     assert not (tmp_path / "out").exists()
 
 
