@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .config import (
     ConfigError,
@@ -23,8 +22,8 @@ from .config import (
     scenario_to_config,
 )
 from .harness import (
+    PRESETS,
     convergence_study,
-    preset_names,
     preset_scenario,
     run,
     verify,
@@ -58,8 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> str:
+    # newline="" keeps CRLF line ends, so the echo can repeat the input's bytes
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except UnicodeDecodeError:
         raise ConfigError(f"{path} is not UTF-8 text") from None
 
@@ -75,7 +76,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "presets":
-            for name in preset_names():
+            for name in PRESETS:
                 print(f"# ---- {name} ----")
                 print(scenario_to_config(preset_scenario(name)))
             return 0

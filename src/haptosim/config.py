@@ -409,7 +409,7 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
         written.append(report_path)
 
     echo_path = out / "config_echo.ini"
-    echo_path.write_text(echo, encoding="utf-8")
+    echo_path.write_text(echo, encoding="utf-8", newline="")
     written.append(echo_path)
     return written
 

@@ -60,11 +60,6 @@ from .stepping import (
     to_weighted_form,
 )
 
-# each stock scenario is named after the regime it satisfies
-PRESETS = ("theorem_bound3", "theorem_bound5", "mu_zero_conservation",
-           "byrne_baseline")
-REGIMES = PRESETS + ("custom",)
-
 # every series recorded by run(), in csv column order
 SERIES_NAMES = ("cell_dev_l2", "cell_dev_sup", "matrix_sup",
                 "grad_sqrt_matrix_l2", "protease_dev_l2", "protease_l2",
@@ -176,11 +171,14 @@ class Scenario:
 
         u0, v0, m0 = (f.values for f in self.initial_fields)
         for label, values in (("u0", u0), ("v0", v0), ("m0", m0)):
-            # checked after the jitter, and first: a NaN passes ``min < 0``
+            # checked after the jitter, and first: a NaN passes ``min < 0``;
+            # a jittered field's fault is shared with seed and jitter, so
+            # only an unjittered one is the field's own
+            blame = label if self.jitter == 0 else None
             if not np.isfinite(values).all():
-                raise ValidationError(f"{label} must be finite everywhere")
+                raise ValidationError(f"{label} must be finite everywhere", blame)
             if float(np.min(values)) < 0:
-                raise ValidationError(f"{label} must be nonnegative everywhere")
+                raise ValidationError(f"{label} must be nonnegative everywhere", blame)
 
         # no run within MAX_STEPS can reach t_end past either bound: every
         # step is at most dt_max long, and every record time needs a step of
@@ -193,36 +191,36 @@ class Scenario:
                     f"t_end / {name} needs {needed:.4g} steps, more than the "
                     f"budget of {MAX_STEPS} steps")
 
-        params, regime = self.params, self.regime
-        g = params.production
-        if regime == "theorem_bound3":
-            if not params.growth_rate > 0:
-                raise ValidationError("mu must be positive for regime theorem_bound3")
-            if g.positive_floor is None:
-                raise ValidationError(
-                    "g must have a positive floor for regime theorem_bound3")
-            if not (float(np.min(v0)) > 0 and float(np.max(v0)) < 1):
-                raise ValidationError(
-                    "v0 must satisfy 0<v0<1 for regime theorem_bound3")
-            if not float(np.min(u0)) > 0:
-                raise ValidationError(
-                    "u0 must be strictly positive for regime theorem_bound3")
-        elif regime == "theorem_bound5":
-            if not params.growth_rate > 0:
-                raise ValidationError("mu must be positive for regime theorem_bound5")
-            if not g.vanishes_at_zero:
-                raise ValidationError("g must vanish at zero for regime theorem_bound5")
-            if not (g.family == "affine" and g.coeffs[0] == 0 and g.coeffs[1] > 0):
-                raise ValidationError(
-                    "g must be affine(0, c) with c>0 for regime theorem_bound5")
-        elif regime == "mu_zero_conservation":
-            if params.growth_rate != 0:
-                raise ValidationError("mu must be zero for regime mu_zero_conservation")
-        elif regime == "byrne_baseline":
-            if params.taxis.family != "constant":
-                raise ValidationError("chi must be constant for regime byrne_baseline")
-            if not (g.family == "affine" and g.coeffs == (0.0, 1.0)):
-                raise ValidationError("g must be affine(0,1) for regime byrne_baseline")
+        # each regime's hypotheses, one (holds, requirement) row each, in the
+        # order they are checked; custom claims none
+        mu, chi, g = self.params.growth_rate, self.params.taxis, self.params.production
+        hypotheses = {
+            "theorem_bound3": [
+                (mu > 0, "mu must be positive"),
+                (g.positive_floor is not None, "g must have a positive floor"),
+                (float(np.min(v0)) > 0 and float(np.max(v0)) < 1,
+                 "v0 must satisfy 0<v0<1"),
+                (float(np.min(u0)) > 0, "u0 must be strictly positive"),
+            ],
+            "theorem_bound5": [
+                (mu > 0, "mu must be positive"),
+                (g.vanishes_at_zero, "g must vanish at zero"),
+                (g.family == "affine" and g.coeffs[0] == 0 and g.coeffs[1] > 0,
+                 "g must be affine(0, c) with c>0"),
+            ],
+            "mu_zero_conservation": [
+                (mu == 0, "mu must be zero"),
+            ],
+            "byrne_baseline": [
+                (chi.family == "constant", "chi must be constant"),
+                (g.family == "affine" and g.coeffs == (0.0, 1.0),
+                 "g must be affine(0,1)"),
+            ],
+            "custom": [],
+        }
+        for holds, requirement in hypotheses[self.regime]:
+            if not holds:
+                raise ValidationError(f"{requirement} for regime {self.regime}")
 
     # evaluated by __post_init__, which validates it; like Grid's cached
     # values it lands in the instance dict and stays out of eq and hash
@@ -246,6 +244,27 @@ class Scenario:
 # presets
 
 
+# the initial u, v and m that the theorem presets and mu_zero_conservation share
+_SHARED_INITIAL = (InitialSpec.bump(0.5, 0.15, 0.2, 1.0),
+                   InitialSpec.bump(0.5, 0.15, 0.3, 0.5), InitialSpec.constant(0.1))
+
+# what sets each stock scenario apart, one row per preset: mu, the constant
+# chi, g(0) of the production g(v) = g(0) + v, t_end, dt_max, record_every,
+# and the initial u, v and m
+_PRESET_ROWS = {
+    "theorem_bound3": (1.0, 0.5, 1.0, 32.0, 0.01, 0.1, _SHARED_INITIAL),
+    "theorem_bound5": (1.0, 0.5, 0.0, 20000.0, 0.25, 50.0, _SHARED_INITIAL),
+    "mu_zero_conservation": (0.0, 1.0, 0.0, 5.0, 0.01, 0.0125, _SHARED_INITIAL),
+    "byrne_baseline": (1.0, 0.5, 0.0, 10.0, 0.01, 0.025,
+                       (InitialSpec.bump(0.5, 0.1, 0.9, 0.1), InitialSpec.constant(0.8),
+                        InitialSpec.constant(0.0))),
+}
+
+# each stock scenario is named after the regime it satisfies
+PRESETS = tuple(_PRESET_ROWS)
+REGIMES = PRESETS + ("custom",)
+
+
 def preset_scenario(name: str) -> Scenario:
     """One of the stock scenarios, keyed by its regime name.
 
@@ -258,48 +277,16 @@ def preset_scenario(name: str) -> Scenario:
     the solver's roundoff plateau; running longer only feeds flat
     samples into the decay fits.
     """
-    grid = build_grid(128, 1.0)
-    u0 = InitialSpec.bump(0.5, 0.15, 0.2, 1.0)
-    v0 = InitialSpec.bump(0.5, 0.15, 0.3, 0.5)
-    if name == "theorem_bound3":
-        return Scenario(
-            name=name, regime=name,
-            params=ModelParams(1.0, 1.0, 1.0, FunctionSpec.constant(0.5),
-                               FunctionSpec.affine(1.0, 1.0)),
-            grid=grid, stepper=StepperConfig(32.0, 0.01, 0.1),
-            initial_cells=u0, initial_matrix=v0,
-            initial_protease=InitialSpec.constant(0.1))
-    if name == "theorem_bound5":
-        return Scenario(
-            name=name, regime=name,
-            params=ModelParams(1.0, 1.0, 1.0, FunctionSpec.constant(0.5),
-                               FunctionSpec.affine(0.0, 1.0)),
-            grid=grid, stepper=StepperConfig(20000.0, 0.25, 50.0),
-            initial_cells=u0, initial_matrix=v0,
-            initial_protease=InitialSpec.constant(0.1))
-    if name == "mu_zero_conservation":
-        return Scenario(
-            name=name, regime=name,
-            params=ModelParams(1.0, 1.0, 0.0, FunctionSpec.constant(1.0),
-                               FunctionSpec.affine(0.0, 1.0)),
-            grid=grid, stepper=StepperConfig(5.0, 0.01, 0.0125),
-            initial_cells=u0, initial_matrix=v0,
-            initial_protease=InitialSpec.constant(0.1))
-    if name == "byrne_baseline":
-        return Scenario(
-            name=name, regime=name,
-            params=ModelParams(1.0, 1.0, 1.0, FunctionSpec.constant(0.5),
-                               FunctionSpec.affine(0.0, 1.0)),
-            grid=grid, stepper=StepperConfig(10.0, 0.01, 0.025),
-            initial_cells=InitialSpec.bump(0.5, 0.1, 0.9, 0.1),
-            initial_matrix=InitialSpec.constant(0.8),
-            initial_protease=InitialSpec.constant(0.0))
-    raise ValidationError(f"unknown preset {name!r}; expected one of "
-                          f"{', '.join(preset_names())}")
-
-
-def preset_names() -> tuple[str, ...]:
-    return PRESETS
+    if name not in _PRESET_ROWS:
+        raise ValidationError(f"unknown preset {name!r}; expected one of "
+                              f"{', '.join(PRESETS)}")
+    mu, chi, g0, t_end, dt_max, record_every, (u0, v0, m0) = _PRESET_ROWS[name]
+    return Scenario(
+        name=name, regime=name,
+        params=ModelParams(1.0, 1.0, mu, FunctionSpec.constant(chi),
+                           FunctionSpec.affine(g0, 1.0)),
+        grid=build_grid(128, 1.0), stepper=StepperConfig(t_end, dt_max, record_every),
+        initial_cells=u0, initial_matrix=v0, initial_protease=m0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ from haptosim.config import (
     scenario_to_config,
 )
 from haptosim.harness import (
+    PRESETS,
     SERIES_NAMES,
     InitialSpec,
     RunResult,
     Scenario,
-    preset_names,
     preset_scenario,
     run,
 )
@@ -221,6 +221,16 @@ def test_byte_order_mark_is_ignored_and_echoed(tmp_path, capsys):
     cfg = tmp_path / "bom.ini"
     cfg.write_bytes(text.encode("utf-8"))
     assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "config_echo.ini").read_bytes() == cfg.read_bytes()
+    capsys.readouterr()
+
+
+def test_crlf_document_is_echoed_byte_for_byte(tmp_path, capsys):
+    text = config_text().replace("\n", "\r\n")
+    assert parse_config(text) == parse_config(config_text())
+    cfg = tmp_path / "crlf.ini"
+    cfg.write_bytes(text.encode("utf-8"))
     assert main(["run", "-c", str(cfg), "-o", str(tmp_path / "out")]) == 0
     assert (tmp_path / "out" / "config_echo.ini").read_bytes() == cfg.read_bytes()
     capsys.readouterr()
@@ -425,7 +435,7 @@ def test_negative_initial_data_rejected():
 # rendering round trips
 
 
-@pytest.mark.parametrize("name", preset_names())
+@pytest.mark.parametrize("name", PRESETS)
 def test_preset_round_trip(name):
     scenario = preset_scenario(name)
     assert parse_config(scenario_to_config(scenario)) == scenario
@@ -1065,6 +1075,27 @@ def test_cli_reports_the_line_and_key_of_a_bad_initial_field(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("u0", "constant(-1.0)", "u0 must be nonnegative everywhere"),
+    ("v0", "constant(nan)", "v0 must be finite everywhere"),
+    ("m0", "constant(-inf)", "m0 must be finite everywhere"),
+], ids=["u0", "v0", "m0"])
+def test_evaluated_initial_field_errors_name_the_line_and_key(key, value, message,
+                                                              tmp_path, capsys):
+    text = config_text(**{f"initial__{key}": value})
+    lineno = text.splitlines().index(f"{key} = {value}") + 1
+    cfg = write_config(tmp_path, text)
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: line {lineno}: {key}: {message}\n"
+    assert not (tmp_path / "out").exists()
+    # with jitter the fault is shared with seed and jitter, so no line is cited
+    jittered = write_config(tmp_path, config_text(
+        **{f"initial__{key}": value, "initial__jitter": "0.1"}), "jittered.ini")
+    assert main(["run", "-c", jittered, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_spec_errors_stay_validation_errors():
     with pytest.raises(ValidationError, match=r"^line 19: u0: bump width"):
         parse_config(config_text(initial__u0="bump(0.5, 0.0, 1.0)"))
@@ -1185,6 +1216,6 @@ def test_cli_convergence_rejects_too_few_levels(tmp_path, capsys):
 def test_cli_presets_lists_every_regime(capsys):
     assert main(["presets"]) == 0
     stdout = capsys.readouterr().out
-    for name in preset_names():
+    for name in PRESETS:
         assert f"# ---- {name} ----" in stdout
         assert f"regime = {name}" in stdout

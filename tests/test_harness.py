@@ -19,12 +19,12 @@ from haptosim import analysis, harness, operators, stepping
 from haptosim.analysis import TimeSeries
 from haptosim.harness import (
     MAX_STEPS,
+    PRESETS,
     SERIES_NAMES,
     InitialSpec,
     RunResult,
     Scenario,
     convergence_study,
-    preset_names,
     preset_scenario,
     run,
     verify,
@@ -231,6 +231,35 @@ def test_byrne_regime_needs_unit_affine_production():
         quick_scenario(regime="byrne_baseline", g=FunctionSpec.affine(0.0, 2.0))
 
 
+@pytest.mark.parametrize("regime, changes, message", [
+    ("theorem_bound3", {"mu": 0.0}, "mu must be positive for regime theorem_bound3"),
+    ("theorem_bound3", {"g": FunctionSpec.affine(0.0, 1.0)},
+     "g must have a positive floor for regime theorem_bound3"),
+    ("theorem_bound3", {"v0": InitialSpec.bump(0.5, 0.15, 0.5, 0.6)},
+     "v0 must satisfy 0<v0<1 for regime theorem_bound3"),
+    ("theorem_bound3", {"u0": InitialSpec.constant(0.0)},
+     "u0 must be strictly positive for regime theorem_bound3"),
+    ("theorem_bound5", {"mu": 0.0, "g": FunctionSpec.affine(0.0, 1.0)},
+     "mu must be positive for regime theorem_bound5"),
+    ("theorem_bound5", {"g": FunctionSpec.affine(1.0, 1.0)},
+     "g must vanish at zero for regime theorem_bound5"),
+    ("theorem_bound5", {"g": FunctionSpec.saturating(0.0, 1.0)},
+     "g must be affine(0, c) with c>0 for regime theorem_bound5"),
+    ("mu_zero_conservation", {"g": FunctionSpec.affine(0.0, 1.0)},
+     "mu must be zero for regime mu_zero_conservation"),
+    ("byrne_baseline", {"chi": FunctionSpec.affine(0.1, 0.2),
+                        "g": FunctionSpec.affine(0.0, 1.0)},
+     "chi must be constant for regime byrne_baseline"),
+    ("byrne_baseline", {"g": FunctionSpec.affine(0.0, 2.0)},
+     "g must be affine(0,1) for regime byrne_baseline"),
+], ids=["bound3-mu", "bound3-floor", "bound3-v0", "bound3-u0", "bound5-mu",
+        "bound5-vanishes", "bound5-affine", "mu_zero-mu", "byrne-chi", "byrne-g"])
+def test_every_regime_hypothesis_names_its_requirement(regime, changes, message):
+    # one case per hypothesis, each the first its scenario violates
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        quick_scenario(regime=regime, **changes)
+
+
 def test_jitter_is_seeded_and_reproducible():
     a = quick_scenario(jitter=0.01, seed=7).initial_fields
     b = quick_scenario(jitter=0.01, seed=7).initial_fields
@@ -297,7 +326,7 @@ def test_run_rejects_schedule_beyond_step_budget_before_stepping(monkeypatch):
 
 
 def test_presets_all_validate():
-    for name in preset_names():
+    for name in PRESETS:
         # building a preset validates it
         assert preset_scenario(name).regime == name
 
@@ -315,6 +344,16 @@ def test_preset_parameters_match_their_regimes():
 def test_unknown_preset_rejected():
     with pytest.raises(ValidationError, match="unknown preset"):
         preset_scenario("kitchen_sink")
+
+
+def test_unknown_preset_error_names_every_preset():
+    with pytest.raises(ValidationError) as info:
+        preset_scenario("kitchen_sink")
+    assert str(info.value) == (
+        "unknown preset 'kitchen_sink'; expected one of theorem_bound3, "
+        "theorem_bound5, mu_zero_conservation, byrne_baseline")
+    assert PRESETS == ("theorem_bound3", "theorem_bound5", "mu_zero_conservation",
+                       "byrne_baseline")
 
 
 # ---------------------------------------------------------------------------
