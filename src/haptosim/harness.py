@@ -121,6 +121,17 @@ class InitialSpec(FamilySpec):
 # scenarios
 
 
+def _check_initial(arrays: list[np.ndarray], located: bool) -> None:
+    """Initial ``u``, ``v`` and ``m`` must be finite and nonnegative everywhere."""
+    for label, values in zip(("u0", "v0", "m0"), arrays):
+        blame = label if located else None
+        # finite first: a NaN passes ``min < 0``
+        if not np.isfinite(values).all():
+            raise ValidationError(f"{label} must be finite everywhere", blame)
+        if float(np.min(values)) < 0:
+            raise ValidationError(f"{label} must be nonnegative everywhere", blame)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified, reproducible run, validated when it is built.
@@ -130,9 +141,9 @@ class Scenario:
     multiplicative noise ``1 + jitter*N(0,1)`` per cell to each initial
     field, for robustness probes; presets use 0.  ``seed`` must be an
     integer ``>= 0``, as numpy's generator needs, whether or not there
-    is jitter to seed.  Construction evaluates the initial fields, then
-    checks them, the step budget and the regime's hypotheses, in that
-    order; a check of one field's own value names it in the error.
+    is jitter to seed.  Construction evaluates and checks the initial
+    fields, then checks the step budget and the regime's hypotheses, in
+    that order; a check of one field's own value names it in the error.
     ``source_text``, the parsed document if any, is outside equality and
     the hash, so documents that differ only in layout give equal scenarios.
     """
@@ -169,16 +180,8 @@ class Scenario:
             if not isinstance(getattr(self, fname), InitialSpec):
                 raise ValidationError(f"{fname} must be an InitialSpec")
 
+        # evaluating the initial fields checks them
         u0, v0, m0 = (f.values for f in self.initial_fields)
-        for label, values in (("u0", u0), ("v0", v0), ("m0", m0)):
-            # checked after the jitter, and first: a NaN passes ``min < 0``;
-            # a jittered field's fault is shared with seed and jitter, so
-            # only an unjittered one is the field's own
-            blame = label if self.jitter == 0 else None
-            if not np.isfinite(values).all():
-                raise ValidationError(f"{label} must be finite everywhere", blame)
-            if float(np.min(values)) < 0:
-                raise ValidationError(f"{label} must be nonnegative everywhere", blame)
 
         # no run within MAX_STEPS can reach t_end past either bound: every
         # step is at most dt_max long, and every record time needs a step of
@@ -226,15 +229,22 @@ class Scenario:
     # values it lands in the instance dict and stays out of eq and hash
     @functools.cached_property
     def initial_fields(self) -> tuple[ScalarField, ScalarField, ScalarField]:
-        """The initial ``u``, ``v``, ``m``, jittered if asked, as read-only arrays."""
+        """The initial ``u``, ``v``, ``m``, jittered if asked, as read-only arrays.
+
+        Each recipe is evaluated once and checked before the jitter, so a
+        fault of its own names its field.  A fault that only the jitter
+        brings is shared with ``seed`` and ``jitter``, and names none.
+        """
         arrays = [self.initial_cells.evaluate(self.grid),
                   self.initial_matrix.evaluate(self.grid),
                   self.initial_protease.evaluate(self.grid)]
+        _check_initial(arrays, located=True)
         if self.jitter > 0:
             rng = np.random.default_rng(self.seed)
             # one draw per field, in u, v, m order, so runs are reproducible
             arrays = [a * (1.0 + self.jitter * rng.standard_normal(a.shape))
                       for a in arrays]
+            _check_initial(arrays, located=False)
         for a in arrays:
             a.flags.writeable = False
         return tuple(ScalarField(self.grid, a) for a in arrays)

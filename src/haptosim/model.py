@@ -140,9 +140,11 @@ def build_grid(cells: int | Sequence[int],
 
 
 _FLOAT64 = np.dtype(float)
+# sets a field of a frozen dataclass, as its generated __init__ does
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ScalarField:
     """One real value per grid cell.
 
@@ -154,15 +156,20 @@ class ScalarField:
     grid: Grid
     values: np.ndarray
 
-    def __post_init__(self):
-        arr = self.values
+    # written out, not generated: a stepper builds several fields a step,
+    # and the generated __init__ calls __post_init__ on top.  The fields are
+    # set through object.__setattr__, as the generated one does; writing
+    # them into ``__dict__`` would give every field a dict of its own, 64
+    # bytes more on each field a run keeps
+    def __init__(self, grid: Grid, values: np.ndarray):
         # a float64 ndarray is kept as is, which is what asarray would do
-        if type(arr) is not np.ndarray or arr.dtype is not _FLOAT64:
-            arr = np.asarray(arr, dtype=float)
-            object.__setattr__(self, "values", arr)
-        if arr.shape != self.grid.shape:
+        if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
+            values = np.asarray(values, dtype=float)
+        if values.shape != grid.cells:
             raise ValidationError(
-                f"field shape {arr.shape} does not match grid {self.grid.shape}")
+                f"field shape {values.shape} does not match grid {grid.shape}")
+        _set(self, "grid", grid)
+        _set(self, "values", values)
 
     @classmethod
     def full(cls, grid: Grid, value: float) -> "ScalarField":
@@ -327,9 +334,12 @@ class FunctionSpec(FamilySpec):
 
     def __call__(self, v):
         """Evaluate at ``v`` (scalar or array); negative inputs clamp to 0."""
-        arr = np.asarray(v, dtype=float)
+        # a float64 ndarray is used as is, which is what asarray would do
+        arr = (v if type(v) is np.ndarray and v.dtype is _FLOAT64
+               else np.asarray(v, dtype=float))
         if self.family == "constant":  # no clamp needed: the value ignores v
-            out = np.full_like(arr, self.coeffs[0])
+            out = np.empty_like(arr)
+            out.fill(self.coeffs[0])
         else:
             w = np.maximum(arr, 0.0)
             if self.family == "affine":
@@ -432,7 +442,7 @@ PRIMITIVE = "primitive"
 WEIGHTED = "weighted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimState:
     """Simulation state at one instant.
 
@@ -451,15 +461,25 @@ class SimState:
     formulation: str = PRIMITIVE
     int_protease: ScalarField | None = None
 
-    def __post_init__(self):
-        if self.formulation not in (PRIMITIVE, WEIGHTED):
-            raise ValidationError(f"unknown formulation {self.formulation!r}")
-        grid = self.cells.grid
-        if self.int_protease is None:
-            object.__setattr__(self, "int_protease", ScalarField.zeros(grid))
-        for f in (self.ecm, self.protease, self.int_protease):
-            if f.grid is not grid and f.grid != grid:
+    # written out, not generated, for the reason ScalarField's is
+    def __init__(self, t: float, cells: ScalarField, ecm: ScalarField,
+                 protease: ScalarField, formulation: str = PRIMITIVE,
+                 int_protease: ScalarField | None = None):
+        if formulation not in (PRIMITIVE, WEIGHTED):
+            raise ValidationError(f"unknown formulation {formulation!r}")
+        grid = cells.grid
+        if int_protease is None:
+            int_protease = ScalarField.zeros(grid)
+        # fields stepped from one another share the grid object itself
+        if not (ecm.grid is protease.grid is int_protease.grid is grid):
+            if any(f.grid != grid for f in (ecm, protease, int_protease)):
                 raise ValidationError("all state fields must share one grid")
+        _set(self, "t", t)
+        _set(self, "cells", cells)
+        _set(self, "ecm", ecm)
+        _set(self, "protease", protease)
+        _set(self, "formulation", formulation)
+        _set(self, "int_protease", int_protease)
 
     @property
     def grid(self) -> Grid:

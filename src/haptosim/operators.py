@@ -11,7 +11,11 @@ one discretization, the donor-cell (upwind) value of the transported
 field.
 
 The operators hold no state: apart from the Helmholtz solve's per-grid
-DCT basis, each call computes its result from its arguments alone.
+DCT basis and the products that apply it, each call computes its result
+from its arguments alone.  A call checks its arguments once and then
+runs NumPy on raw arrays.  The per-grid cache is keyed by the grid's
+cell counts and spacing, and a divergence sums its axes' terms without
+first allocating zeros.
 """
 
 from __future__ import annotations
@@ -77,12 +81,19 @@ def _neighbour_mean(values: np.ndarray, axis: int) -> np.ndarray:
 def drift_velocities(v: ScalarField, chi: FunctionSpec) -> tuple[np.ndarray, ...]:
     """Drift ``chi(v) * dv/dx`` on the interior faces normal to each axis.
 
-    ``chi`` takes the arithmetic face average of ``v``; wall faces,
-    where the velocity vanishes, are left out.  The arrays are read-only.
+    ``chi`` takes the arithmetic face average of ``v``; a constant
+    ``chi`` ignores it, so its coefficient multiplies the slope directly,
+    which gives the same bits.  Wall faces, where the velocity vanishes,
+    are left out.  The arrays are read-only.
     """
     values, vel = v.values, []
+    constant = chi.family == "constant"
     for d, h in enumerate(v.grid.spacing):
-        vel_d = chi(_neighbour_mean(values, d)) * (_diff(values, d) / h)
+        key = values.ndim, d
+        lo, hi = values[_LO[key]], values[_HI[key]]
+        slope = (hi - lo) / h
+        vel_d = (chi.coeffs[0] * slope if constant
+                 else chi(0.5 * (lo + hi)) * slope)
         vel_d.flags.writeable = False
         vel.append(vel_d)
     return tuple(vel)
@@ -104,9 +115,18 @@ def gradient_faces(f: ScalarField) -> tuple[np.ndarray, ...]:
 
 
 def _face_divergence(grid: Grid, fluxes: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros(grid.shape)
-    for d, flux in enumerate(fluxes):
-        out += _diff(flux, d) / grid.spacing[d]
+    """Sum over the axes of each flux's face difference over the cell width.
+
+    The sum starts from the first axis's term, not from zeros: adding it to
+    zeros would only cost a pass, and change nothing but a zero's sign.
+    """
+    out = None
+    for d, (flux, h) in enumerate(zip(fluxes, grid.spacing)):
+        term = _diff(flux, d) / h
+        if out is None:
+            out = term
+        else:
+            out += term
     return out
 
 
@@ -146,7 +166,7 @@ def haptotaxis_divergence(u: ScalarField,
             raise ValidationError(f"velocities along axis {d} have shape {vel.shape}, "
                                   f"not the interior faces' {lo.shape}")
         flux = np.zeros(shape)
-        flux[_MID[dims, d]] = np.where(vel > 0, lo, hi) * vel
+        np.multiply(np.where(vel > 0.0, lo, hi), vel, out=flux[_MID[key]])
         fluxes.append(flux)
     return ScalarField(grid, _face_divergence(grid, fluxes))
 
@@ -155,9 +175,12 @@ def haptotaxis_divergence(u: ScalarField,
 # Helmholtz-type solves (b*I - a*Laplacian) x = rhs
 
 
+# keyed by the grid's cell counts and spacing, two tuples the cache hashes
+# in C, where a Grid key would run the dataclass's Python-level hash
 @functools.lru_cache(maxsize=8)
-def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Eigenbasis of the Neumann Laplacian on ``grid``.
+def _dct_modes(cells: tuple[int, ...],
+               spacing: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Eigenbasis of the Neumann Laplacian on a grid of ``cells`` and ``spacing``.
 
     Returns the orthonormal DCT-II matrix ``Q`` of each axis (column
     ``k`` is the mode ``cos(pi k (j + 1/2) / n)``) and the eigenvalues of
@@ -165,34 +188,62 @@ def _dct_modes(grid: Grid) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     The arrays are read-only and cached per grid.
     """
     bases = []
-    lam = np.zeros(grid.shape)
-    for d, (n, h) in enumerate(zip(grid.cells, grid.spacing)):
+    lam = np.zeros(cells)
+    for d, (n, h) in enumerate(zip(cells, spacing)):
         k = np.arange(n)
         q = math.sqrt(2.0 / n) * np.cos(np.pi * np.outer(k + 0.5, k) / n)
         q[:, 0] = math.sqrt(1.0 / n)
         q.flags.writeable = False
         bases.append(q)
         lam_d = (4.0 / h**2) * np.sin(0.5 * np.pi * k / n) ** 2
-        lam = lam + lam_d.reshape([n if e == d else 1 for e in range(grid.dims)])
+        lam = lam + lam_d.reshape([n if e == d else 1 for e in range(len(cells))])
     lam.flags.writeable = False
     return tuple(bases), lam
 
 
-def _along_axis(matrix: np.ndarray, values: np.ndarray, axis: int) -> np.ndarray:
-    """Apply ``matrix`` to every line of the C-ordered ``values`` along ``axis``.
+# keyed like _dct_modes; a solve reads its passes and eigenvalues from here
+@functools.lru_cache(maxsize=8)
+def _dct_passes(cells: tuple[int, ...], spacing: tuple[float, ...]) -> tuple:
+    """The two passes of a solve on a grid, with its eigenvalues between them.
 
-    Both products work on views, with no transposed copy.  Along the last,
+    Returns ``(forward, lam, backward)``.  A pass holds one product per
+    axis, ``(matrix, lines, last)``: a C-ordered array is reshaped to
+    ``lines``, a view, and multiplied by ``matrix``.  Along the last,
     contiguous axis the lines are the rows of a ``(lines, n)`` view, and
-    one matrix product ``rows @ matrix.T`` takes them all.  Along any other
-    axis the reshape is to (lines before, ``n``, lines after), and one
-    stacked ``matmul`` takes them.
+    one product ``rows.dot(matrix)`` takes them all: the same BLAS call
+    as ``rows @ matrix``, without the ufunc layer of ``matmul``.  A 1D or
+    2D array already is its rows, so ``lines`` is None and no reshape is
+    made; ``dot`` treats a 1D array as one row, with the bits of the
+    ``(1, n)`` product.  Along any other axis the reshape is to (lines
+    before, ``n``, lines after), and one stacked ``matmul(matrix, lines)``
+    takes them.  Neither makes a transposed copy.  The forward pass
+    applies ``Q^T`` to every line, the backward pass ``Q``.
     """
+    bases, lam = _dct_modes(cells, spacing)
+    forward, backward = [], []
+    for d, (n, q) in enumerate(zip(cells, bases)):
+        if d == len(cells) - 1:
+            rows = None if len(cells) <= 2 else (-1, n)
+            forward.append((q, rows, True))
+            backward.append((q.T, rows, True))
+        else:
+            lines = (math.prod(cells[:d]), n, -1)
+            forward.append((q.T, lines, False))
+            backward.append((q, lines, False))
+    return tuple(forward), lam, tuple(backward)
+
+
+def _transform(values: np.ndarray, products: tuple) -> np.ndarray:
+    """Apply one pass of :func:`_dct_passes` to the C-ordered ``values``."""
     shape = values.shape
-    n = shape[axis]
-    if axis == len(shape) - 1:
-        return (values.reshape(-1, n) @ matrix.T).reshape(shape)
-    stacked = values.reshape(math.prod(shape[:axis]), n, -1)
-    return np.matmul(matrix, stacked).reshape(shape)
+    for matrix, lines, last in products:
+        if lines is None:
+            values = values.dot(matrix)
+        elif last:
+            values = values.reshape(lines).dot(matrix).reshape(shape)
+        else:
+            values = np.matmul(matrix, values.reshape(lines)).reshape(shape)
+    return values
 
 
 def helmholtz_solve(a: float, b: float, rhs: ScalarField) -> ScalarField:
@@ -206,13 +257,9 @@ def helmholtz_solve(a: float, b: float, rhs: ScalarField) -> ScalarField:
     there is no tolerance and no iteration.  The bases and eigenvalues
     are cached per grid.
     """
-    if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)):
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValidationError(f"need positive finite coefficients, got a={a}, b={b}")
-    bases, lam = _dct_modes(rhs.grid)
-    x = rhs.values
-    for d, q in enumerate(bases):
-        x = _along_axis(q.T, x, d)
-    x = x / (b + a * lam)
-    for d, q in enumerate(bases):
-        x = _along_axis(q, x, d)
-    return rhs.with_values(x)
+    grid = rhs.grid
+    forward, lam, backward = _dct_passes(grid.cells, grid.spacing)
+    x = _transform(rhs.values, forward) / (b + a * lam)
+    return ScalarField(grid, _transform(x, backward))

@@ -1088,12 +1088,25 @@ def test_evaluated_initial_field_errors_name_the_line_and_key(key, value, messag
     assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: line {lineno}: {key}: {message}\n"
     assert not (tmp_path / "out").exists()
-    # with jitter the fault is shared with seed and jitter, so no line is cited
-    jittered = write_config(tmp_path, config_text(
-        **{f"initial__{key}": value, "initial__jitter": "0.1"}), "jittered.ini")
+    # the recipe is at fault before any jitter, so the line is cited with it too
+    text = config_text(**{f"initial__{key}": value, "initial__jitter": "0.1"})
+    jittered = write_config(tmp_path, text, "jittered.ini")
     assert main(["run", "-c", jittered, "-o", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    lineno = text.splitlines().index(f"{key} = {value}") + 1
+    assert capsys.readouterr().err == f"error: line {lineno}: {key}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_fault_only_the_jitter_brings_cites_no_line(tmp_path, capsys):
+    # 1 + N(0, 1) noise drives some of the 16 cells of u0 = 1 negative; the
+    # fault is shared with seed and jitter, so no one line is cited
+    cfg = write_config(tmp_path, config_text(initial__u0="constant(1.0)",
+                                             initial__jitter="1"))
+    assert main(["run", "-c", cfg, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: u0 must be nonnegative everywhere\n"
+    assert not (tmp_path / "out").exists()
+    # and the same recipe without jitter is valid
+    parse_config(config_text(initial__u0="constant(1.0)"))
 
 
 def test_spec_errors_stay_validation_errors():

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from haptosim.model import FunctionSpec, ScalarField, ValidationError, build_grid
 from haptosim.operators import (
-    _along_axis,
     _dct_modes,
+    _dct_passes,
+    _transform,
     drift_velocities,
     gradient_faces,
     haptotaxis_divergence,
@@ -131,6 +132,26 @@ class TestDriftVelocities:
             hi = np.take(v.values, range(1, n), axis=d)
             assert np.array_equal(vel, chi(0.5 * (lo + hi)) * ((hi - lo) / g.spacing[d]))
             assert not vel.flags.writeable
+
+    @pytest.mark.parametrize("chi", [
+        FunctionSpec.constant(0.7),
+        FunctionSpec.affine(0.2, 1.1),
+        FunctionSpec.saturating(0.3, 1.2),
+        FunctionSpec.tabulated([0.0, 0.5, 1.5], [0.4, 1.0, 0.2]),
+    ], ids=["constant", "affine", "saturating", "tabulated"])
+    def test_every_family_gives_the_face_formula_bit_for_bit(self, chi):
+        # a constant chi skips the face mean it would ignore; every family
+        # must still give the bits of chi(mean) * slope, signed zeros too
+        g = build_grid((6, 5, 4), (1.0, 0.8, 1.3))
+        values = _random_field(g, 28).values
+        values[2] = values[1]  # flat lines: zero slopes
+        v = ScalarField(g, values)
+        for d, vel in enumerate(drift_velocities(v, chi)):
+            n = g.cells[d]
+            lo = np.take(values, range(n - 1), axis=d)
+            hi = np.take(values, range(1, n), axis=d)
+            want = chi(0.5 * (lo + hi)) * ((hi - lo) / g.spacing[d])
+            assert vel.tobytes() == want.tobytes()
 
     def test_new_chi_on_the_same_field_gives_new_velocities(self):
         g = build_grid((6, 5), 1.0)
@@ -283,20 +304,22 @@ class TestHelmholtz:
     def test_1d_row_product_is_the_stacked_product_bit_for_bit(self, n):
         # a 1D grid's only axis is its contiguous one; the row product must
         # give the bits of the stacked matmul every other axis uses
-        q = _dct_modes(build_grid(n, 1.0))[0][0]
+        g = build_grid(n, 1.0)
+        q = _dct_modes(g.cells, g.spacing)[0][0]
+        forward, _, backward = _dct_passes(g.cells, g.spacing)
         rng = np.random.default_rng(n)
         for _ in range(50):
             x = rng.standard_normal(n)
-            for m in (q, q.T):
+            for products, m in ((forward, q.T), (backward, q)):
                 stacked = np.matmul(m, x.reshape(1, n, 1)).reshape(n)
-                assert np.array_equal(_along_axis(m, x, 0), stacked)
+                assert np.array_equal(_transform(x, products), stacked)
 
     @pytest.mark.parametrize("axis", range(3))
     def test_basis_diagonalizes_axis_stencil(self, axis):
         # each cached axis basis must diagonalize that axis's 1D stencil,
         # assembled here from laplacian_neumann, to the cached eigenvalues
         g = build_grid(ANISO_CELLS, ANISO_EXTENTS)
-        bases, lam = _dct_modes(g)
+        bases, lam = _dct_modes(g.cells, g.spacing)
         assert not lam.flags.writeable
         assert not any(q.flags.writeable for q in bases)
         q = bases[axis]
