@@ -43,7 +43,7 @@ from .operators import (
     haptotaxis_divergence,
     laplacian_neumann,
 )
-from .stepping import _cell_gradient
+from .stepping import _cell_gradient, _max, _sum
 
 __all__ = [
     "TimeSeries",
@@ -132,17 +132,22 @@ class DecayFit:
 
 
 def norm(f: ScalarField, p: float) -> float:
-    """Volume-weighted L^p norm of a field; ``p = inf`` for the sup norm."""
+    """Volume-weighted L^p norm of a field; ``p = inf`` for the sup norm.
+
+    The sums and the maximum are ufunc reductions: the bits of ``np.sum``
+    and ``np.max`` without their Python wrappers.
+    """
+    values = f.values
     if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+        return float(_max(np.abs(values), None))
     if not p >= 1:
         raise ValidationError(f"norm order must be >= 1 or inf, got {p!r}")
     vol = f.grid.cell_volume
     if p == 1:
-        return float(np.sum(np.abs(f.values)) * vol)
+        return float(_sum(np.abs(values), None) * vol)
     if p == 2:
-        return float(math.sqrt(np.sum(f.values * f.values) * vol))
-    return float((np.sum(np.abs(f.values) ** p) * vol) ** (1.0 / p))
+        return float(math.sqrt(_sum(values * values, None) * vol))
+    return float((_sum(np.abs(values) ** p, None) * vol) ** (1.0 / p))
 
 
 def decay_fit(series: TimeSeries, tail_fraction: float = 0.5) -> DecayFit:

@@ -53,7 +53,9 @@ from .model import (
 from .stepping import (
     StepperConfig,
     _cell_gradient,
+    _min,
     _primitive_cells,
+    _sum,
     from_weighted_form,
     imex_step,
     stable_dt,
@@ -324,10 +326,11 @@ class RunResult:
 
 def _grad_l2(f: ScalarField) -> float:
     """Volume-weighted L2 norm of the cell-centered gradient magnitude."""
-    mag2 = np.zeros(f.grid.shape)
-    for comp in _cell_gradient(f):
+    first, *rest = _cell_gradient(f)
+    mag2 = first ** 2
+    for comp in rest:
         mag2 += comp ** 2
-    return math.sqrt(float(np.sum(mag2)) * f.grid.cell_volume)
+    return math.sqrt(float(_sum(mag2, None)) * f.grid.cell_volume)
 
 
 def _series_samples(state: SimState, params: ModelParams, u_bar: float,
@@ -336,8 +339,8 @@ def _series_samples(state: SimState, params: ModelParams, u_bar: float,
 
     ``state`` is the stepped state, in either form.  A primitive one
     evaluates the taxis weight ``z`` once, for ``w = u * z``.  A weighted
-    one divides by the ``z`` that converting it to its record has just
-    left in the stepper's per-step slot.
+    one measures the ``u`` that converting it to its record has just
+    left in the stepper's per-step slot: the record's own cells.
     """
     v, m = state.ecm, state.protease
     if state.formulation == PRIMITIVE:
@@ -355,12 +358,12 @@ def _series_samples(state: SimState, params: ModelParams, u_bar: float,
         "grad_sqrt_matrix_l2": _grad_l2(sqrt_v),
         "protease_dev_l2": norm(m.with_values(m.values - m_star), 2),
         "protease_l2": norm(m, 2),
-        "cell_min": float(np.min(u.values)),
-        "protease_min": float(np.min(m.values)),
+        "cell_min": float(_min(u.values, None)),
+        "protease_min": float(_min(m.values, None)),
         "cell_mass": norm(u, 1),
         "protease_mass": norm(m, 1),
         "weighted_mass": norm(w, 1),
-        "matrix_min": float(np.min(v.values)),
+        "matrix_min": float(_min(v.values, None)),
     }
 
 

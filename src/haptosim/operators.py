@@ -201,40 +201,48 @@ def _dct_modes(cells: tuple[int, ...],
     return tuple(bases), lam
 
 
-# keyed like _dct_modes; a solve reads its passes and eigenvalues from here
-@functools.lru_cache(maxsize=8)
-def _dct_passes(cells: tuple[int, ...], spacing: tuple[float, ...]) -> tuple:
-    """The two passes of a solve on a grid, with its eigenvalues between them.
+# keyed like _dct_modes and by the solve's coefficient ``a``, which is fixed
+# at each call site; a solve reads its passes and ``a * lambda`` from here
+@functools.lru_cache(maxsize=16)
+def _dct_passes(cells: tuple[int, ...], spacing: tuple[float, ...],
+                a: float) -> tuple:
+    """The two passes of a solve on a grid, with ``a`` times its eigenvalues between.
 
-    Returns ``(forward, lam, backward)``.  A pass holds one product per
+    Returns ``(forward, a_lam, backward)``; ``a_lam`` is read-only.  On a
+    1D grid a pass is its one matrix, which a solve applies as the row
+    product ``values.dot(matrix)``: the same BLAS call as ``values @
+    matrix``, without the ufunc layer of ``matmul``, and with the bits of
+    the ``(1, n)`` product.  Otherwise a pass holds one product per
     axis, ``(matrix, lines, last)``: a C-ordered array is reshaped to
     ``lines``, a view, and multiplied by ``matrix``.  Along the last,
     contiguous axis the lines are the rows of a ``(lines, n)`` view, and
-    one product ``rows.dot(matrix)`` takes them all: the same BLAS call
-    as ``rows @ matrix``, without the ufunc layer of ``matmul``.  A 1D or
-    2D array already is its rows, so ``lines`` is None and no reshape is
-    made; ``dot`` treats a 1D array as one row, with the bits of the
-    ``(1, n)`` product.  Along any other axis the reshape is to (lines
-    before, ``n``, lines after), and one stacked ``matmul(matrix, lines)``
-    takes them.  Neither makes a transposed copy.  The forward pass
-    applies ``Q^T`` to every line, the backward pass ``Q``.
+    one row product ``rows.dot(matrix)`` takes them all; a 2D array
+    already is its rows, so ``lines`` is None and no reshape is made.
+    Along any other axis the reshape is to (lines before, ``n``, lines
+    after), and one stacked ``matmul(matrix, lines)`` takes them.
+    Neither makes a transposed copy.  The forward pass applies ``Q^T`` to
+    every line, the backward pass ``Q``.
     """
     bases, lam = _dct_modes(cells, spacing)
+    a_lam = a * lam
+    a_lam.flags.writeable = False
+    if len(cells) == 1:
+        return bases[0], a_lam, bases[0].T
     forward, backward = [], []
     for d, (n, q) in enumerate(zip(cells, bases)):
         if d == len(cells) - 1:
-            rows = None if len(cells) <= 2 else (-1, n)
+            rows = None if len(cells) == 2 else (-1, n)
             forward.append((q, rows, True))
             backward.append((q.T, rows, True))
         else:
             lines = (math.prod(cells[:d]), n, -1)
             forward.append((q.T, lines, False))
             backward.append((q, lines, False))
-    return tuple(forward), lam, tuple(backward)
+    return tuple(forward), a_lam, tuple(backward)
 
 
 def _transform(values: np.ndarray, products: tuple) -> np.ndarray:
-    """Apply one pass of :func:`_dct_passes` to the C-ordered ``values``."""
+    """Apply one pass of :func:`_dct_passes` to C-ordered 2D or 3D ``values``."""
     shape = values.shape
     for matrix, lines, last in products:
         if lines is None:
@@ -254,12 +262,15 @@ def helmholtz_solve(a: float, b: float, rhs: ScalarField) -> ScalarField:
     Laplacian exactly (G. Strang, "The Discrete Cosine Transform", SIAM
     Review 41, 1999), so ``rhs`` is taken into that basis, divided by
     ``b + a*lambda`` and taken back.  The result is exact to roundoff;
-    there is no tolerance and no iteration.  The bases and eigenvalues
-    are cached per grid.
+    there is no tolerance and no iteration.  The bases, and ``a`` times
+    the eigenvalues, are cached per grid and ``a``.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValidationError(f"need positive finite coefficients, got a={a}, b={b}")
     grid = rhs.grid
-    forward, lam, backward = _dct_passes(grid.cells, grid.spacing)
-    x = _transform(rhs.values, forward) / (b + a * lam)
+    forward, a_lam, backward = _dct_passes(grid.cells, grid.spacing, a)
+    values = rhs.values
+    if values.ndim == 1:
+        return ScalarField(grid, (values.dot(forward) / (b + a_lam)).dot(backward))
+    x = _transform(values, forward) / (b + a_lam)
     return ScalarField(grid, _transform(x, backward))

@@ -30,28 +30,35 @@ time integral of ``grad m`` is not stored: both the trapezoid update
 and the cell-centred gradient are linear, so it equals the gradient of
 ``int_0^t m`` and is derived from it on demand.
 
-Each per-step quantity is computed once, and this module alone keeps
-it: one slot holds the face drift velocities of a primitive state or the
-taxis weight of a weighted one, keyed on the identity of the matrix
-field and of ``chi`` and on the formulation.  :func:`stable_dt` fills
-it, :func:`imex_step` on the same state reads it and empties it before
-its solves, and :func:`from_weighted_form` fills it with the weight for
-the record's sampler and the next step.  The operators hold no state,
-and nothing is stored on a field.
+Each per-state quantity is computed once, and this module alone keeps
+it: one slot, keyed on the identity of the state and of ``chi``, holds
+the face drift velocities of a primitive state or the primitive cells
+``u = w / z`` of a weighted one.  Whichever of :func:`stable_dt`,
+:func:`from_weighted_form` and :func:`imex_step` first needs it fills
+it; the record conversion, the record's sampler, the guards and the
+step then read the same array, so a weighted record's cells are the
+``u`` the step uses.  :func:`imex_step` empties the slot before its
+solves.  It also remembers, by weak reference, the state it returned
+last, whose cell, matrix and protease arrays it made read-only after
+checking them finite: that state's next step skips the entry check,
+which any other state gets.  The operators hold no state, and nothing
+is stored on a field.
 
 A step is written to cost its arithmetic and little more, with one step
 path for every dimension.  It works on raw arrays, calls each public
 operator once per use, and wraps an array in a field only where an
-operator or the new state takes one.  The guards take their maxima as
-ufunc reductions, and the finiteness checks take one BLAS dot product
-per field.  Every rewrite of an expression keeps its bits: ``x - drift``
-for ``-drift + x`` and ``m * -dt`` for ``-m * dt`` are the same IEEE
-operations with one NumPy call fewer.
+operator or the new state takes one.  The guards, and the monitors of
+each record, take their whole-array reductions as ufunc reductions,
+and the finiteness checks take one BLAS dot product per field.  Every
+rewrite of an expression keeps its bits: ``x - drift`` for ``-drift +
+x`` and ``m * -dt`` for ``-m * dt`` are the same IEEE operations with
+one NumPy call fewer.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -86,9 +93,10 @@ __all__ = [
 
 DENOM_FLOOR = 1e-14
 
-# the whole-array maximum, called as a ufunc reduction: ``ndarray.max``
-# reaches the same reduction through a Python wrapper
-_max = np.maximum.reduce
+# whole-array reductions, called as ufunc reductions with axis None:
+# ``np.max``, ``np.min`` and ``np.sum`` reach the same reductions, with the
+# same pairwise summation and so the same bits, through Python wrappers
+_max, _min, _sum = np.maximum.reduce, np.minimum.reduce, np.add.reduce
 
 
 class BlowupError(RuntimeError):
@@ -141,20 +149,22 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
     ``L_g * max u``).  Denominators are floored at 1e-14 so quiescent
     states fall back to ``dt_max``.
 
-    The guards read the state's raw arrays; a weighted state is divided
-    by its taxis weight once, without building a primitive state.
+    The guards read the state's raw arrays and the per-step slot: the
+    drift velocities of a primitive state, or the primitive cells of a
+    weighted one.
     """
     ecm = state.ecm
-    u = _primitive_cells(state, params)
     v, m = ecm.values, state.protease.values
+    # every axis has at least two cells, so every velocity array is nonempty;
+    # a weighted step has no drift divergence to reuse them in, so the slot
+    # keeps none of them
+    if state.formulation == PRIMITIVE:
+        u, velocities = state.cells.values, _per_step(state, params)
+    else:
+        u, velocities = _per_step(state, params), drift_velocities(ecm, params.taxis)
 
     candidates = []
-    # every axis has at least two cells, so every velocity array is nonempty;
-    # a weighted step has no drift divergence to reuse them in, and its slot
-    # holds the weight, so it keeps none of them
-    for h, vel in zip(ecm.grid.spacing,
-                      _per_step(state, params) if state.formulation == PRIMITIVE
-                      else drift_velocities(ecm, params.taxis)):
+    for h, vel in zip(ecm.grid.spacing, velocities):
         speed = float(_max(np.abs(vel), None))
         candidates.append(cfg.cfl * h / max(speed, DENOM_FLOOR))
 
@@ -175,29 +185,33 @@ def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
             for d, comp in enumerate(gradient_faces(f))]
 
 
-# The one per-step cache, ``[v, chi, formulation, value]``.  It holds ``v``
-# and ``chi`` themselves, so neither identity can be reused while cached;
-# the formulation is in the key because ``to_weighted_form`` shares ``ecm``
-# with its input.  ``imex_step`` empties it before its solves.
-_slot: list = [None, None, None, None]
+# The one per-step cache, ``[state, chi, value]``.  It holds the state and
+# ``chi`` themselves, so neither identity can be reused while cached.
+# ``imex_step`` empties it before its solves.
+_slot: list = [None, None, None]
 
 
 def _per_step(state: SimState, params: ModelParams):
-    """The drift velocities of a primitive state, or the taxis weight of a weighted one."""
-    v, chi, form, slot = state.ecm, params.taxis, state.formulation, _slot
-    if slot[0] is not v or slot[1] is not chi or slot[2] != form:
-        value = (drift_velocities(v, chi) if form == PRIMITIVE
-                 else taxis_weight(v, chi).values)
-        slot[:] = v, chi, form, value
-    return slot[3]
+    """The drift velocities of a primitive state, or the cells ``u`` of a weighted one.
+
+    A weighted state's cells are ``w / z`` with its taxis weight ``z``,
+    which is evaluated here and nowhere else on a step.
+    """
+    chi, slot = params.taxis, _slot
+    if slot[0] is not state or slot[1] is not chi:
+        if state.formulation == PRIMITIVE:
+            value = drift_velocities(state.ecm, chi)
+        else:
+            value = state.cells.values / taxis_weight(state.ecm, chi).values
+        slot[:] = state, chi, value
+    return slot[2]
 
 
 def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:
     """The primitive cell density ``u`` as a raw array, whichever form the state holds."""
-    cells = state.cells.values
     if state.formulation == PRIMITIVE:
-        return cells
-    return cells / _per_step(state, params)
+        return state.cells.values
+    return _per_step(state, params)
 
 
 def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
@@ -214,6 +228,11 @@ def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
         raise BlowupError(t, bad)
 
 
+# the state ``imex_step`` returned last, whose three read-only arrays its
+# exit check proved finite; a weak reference, so no state outlives its holder
+_checked: list = [None]
+
+
 def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     """One IMEX step of size ``dt``; returns the state at ``t + dt``.
 
@@ -224,14 +243,18 @@ def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     wrapped only where one of those takes it, and the fields they return
     go into the new state as they are.  Raises :class:`BlowupError`,
     naming every field at fault, when the state entering or leaving the
-    step holds a non-finite value.
+    step holds a non-finite value.  The new state's cells, matrix and
+    protease arrays are read-only, so the state this returned last enters
+    its next step without a second check.
     """
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     cells, ecm, protease, form = state.cells, state.ecm, state.protease, state.formulation
     grid = cells.grid
     w, v, m = cells.values, ecm.values, protease.values
-    _ensure_finite(state.t, w, v, m)
+    last = _checked[0]
+    if last is None or last() is not state:
+        _ensure_finite(state.t, w, v, m)
     chi, g = params.taxis, params.production
     mu = params.growth_rate
     u = _primitive_cells(state, params)
@@ -247,7 +270,7 @@ def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
             dot += _neighbour_mean(_face_diffs(v, grid, d) * _face_diffs(w, grid, d), d)
         chi_v = chi(v)
         explicit = chi_v * dot + mu * w * (1.0 - u - v) + chi_v * w * v * m
-    _slot[:] = None, None, None, None
+    _slot[:] = None, None, None
 
     protease_new = helmholtz_solve(
         params.protease_diffusion, 1.0 / dt + params.protease_decay,
@@ -255,12 +278,17 @@ def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     ecm_new = step_v_exact(ecm, protease, dt)
     cells_new = helmholtz_solve(1.0, 1.0 / dt, ScalarField(grid, w / dt + explicit))
 
-    m_new = protease_new.values
-    _ensure_finite(state.t, cells_new.values, ecm_new.values, m_new)
+    w_new, v_new, m_new = cells_new.values, ecm_new.values, protease_new.values
+    _ensure_finite(state.t, w_new, v_new, m_new)
+    # ``setflags`` costs half of a ``flags.writeable`` assignment
+    for values in (w_new, v_new, m_new):
+        values.setflags(write=False)
 
     int_m = state.int_protease.values + 0.5 * dt * (m + m_new)
-    return SimState(state.t + dt, cells_new, ecm_new, protease_new, form,
-                    ScalarField(grid, int_m))
+    out = SimState(state.t + dt, cells_new, ecm_new, protease_new, form,
+                   ScalarField(grid, int_m))
+    _checked[0] = weakref.ref(out)
+    return out
 
 
 def to_weighted_form(state: SimState, params: ModelParams) -> SimState:
@@ -273,7 +301,7 @@ def to_weighted_form(state: SimState, params: ModelParams) -> SimState:
 
 
 def from_weighted_form(state: SimState, params: ModelParams) -> SimState:
-    """Recover the primitive cell density; the weight stays in the per-step slot."""
+    """Recover the primitive cell density: the record's cells are the slot's ``u``."""
     if state.formulation != WEIGHTED:
         raise ValidationError("state is not in weighted form")
     return replace(state, cells=state.cells.with_values(_primitive_cells(state, params)),

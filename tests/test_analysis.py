@@ -93,6 +93,22 @@ def test_norm_general_p():
     assert norm(f, 3) == pytest.approx(expect, rel=1e-14)
 
 
+@pytest.mark.parametrize("cells", [1000, 9, (40, 30), (3, 5), (12, 10, 9), (2, 3, 2)])
+def test_norm_is_the_numpy_formula_bit_for_bit(cells):
+    # the ufunc reductions sum pairwise in the order np.sum does, so they
+    # give its bits on every shape, not just close values
+    grid = build_grid(cells, 1.7)
+    rng = np.random.default_rng(grid.shape)
+    vals = rng.standard_normal(grid.shape) * 10.0 ** rng.uniform(-3, 3, grid.shape)
+    assert (vals < 0).any()
+    f, vol = ScalarField(grid, vals), grid.cell_volume
+    expected = {1: float(np.sum(np.abs(vals)) * vol),
+                2: float(math.sqrt(np.sum(vals * vals) * vol)),
+                math.inf: float(np.max(np.abs(vals)))}
+    for p, value in expected.items():
+        assert norm(f, p).hex() == value.hex(), p
+
+
 def test_norm_rejects_p_below_one():
     f = ScalarField.full(unit_grid(), 1.0)
     with pytest.raises(ValidationError):

@@ -16,7 +16,7 @@ from haptosim import (
     taxis_weight,
 )
 from haptosim import analysis, harness, operators, stepping
-from haptosim.analysis import TimeSeries
+from haptosim.analysis import TimeSeries, norm
 from haptosim.harness import (
     MAX_STEPS,
     PRESETS,
@@ -459,6 +459,13 @@ def test_run_stores_weighted_records_primitive_bit_for_bit(cells, monkeypatch):
     sc = quick_scenario(cells=cells, formulation=WEIGHTED,
                         chi=FunctionSpec.affine(0.3, 0.7))
     stepped = stepped_states(monkeypatch)
+    # every array a record's monitors measure
+    measured = []
+
+    def measure(f, p):
+        measured.append(f.values)
+        return norm(f, p)
+    monkeypatch.setattr(harness, "norm", measure)
     res = run(sc)
     assert len(res.recorded_states) == 6
     for record in res.recorded_states:
@@ -466,7 +473,9 @@ def test_run_stores_weighted_records_primitive_bit_for_bit(cells, monkeypatch):
         assert state.formulation == WEIGHTED
         assert record.formulation == PRIMITIVE
         z = taxis_weight(state.ecm, sc.params.taxis).values
-        assert np.array_equal(record.cells.values, state.cells.values / z)
+        assert record.cells.values.tobytes() == (state.cells.values / z).tobytes()
+        # the sampler measures the record's own cells, not a second division
+        assert any(values is record.cells.values for values in measured)
         assert record.ecm is state.ecm and record.protease is state.protease
         assert record.int_protease is state.int_protease
 

@@ -7,7 +7,6 @@ from haptosim.model import FunctionSpec, ScalarField, ValidationError, build_gri
 from haptosim.operators import (
     _dct_modes,
     _dct_passes,
-    _transform,
     drift_velocities,
     gradient_faces,
     haptotaxis_divergence,
@@ -302,17 +301,27 @@ class TestHelmholtz:
 
     @pytest.mark.parametrize("n", [128, 64, 33, 8, 2])
     def test_1d_row_product_is_the_stacked_product_bit_for_bit(self, n):
-        # a 1D grid's only axis is its contiguous one; the row product must
-        # give the bits of the stacked matmul every other axis uses
+        # a 1D grid's only axis is its contiguous one, and its pass is one
+        # row product with the table's matrix; that must give the bits of
+        # the stacked matmul every other axis uses, and so must the solve
         g = build_grid(n, 1.0)
         q = _dct_modes(g.cells, g.spacing)[0][0]
-        forward, _, backward = _dct_passes(g.cells, g.spacing)
+        a, b = 0.7, 3.0
+        forward, a_lam, backward = _dct_passes(g.cells, g.spacing, a)
+        lam = _dct_modes(g.cells, g.spacing)[1]
+        assert a_lam.tobytes() == (a * lam).tobytes()
+        assert not a_lam.flags.writeable
+
+        def stacked(m, x):
+            return np.matmul(m, x.reshape(1, n, 1)).reshape(n)
         rng = np.random.default_rng(n)
         for _ in range(50):
             x = rng.standard_normal(n)
-            for products, m in ((forward, q.T), (backward, q)):
-                stacked = np.matmul(m, x.reshape(1, n, 1)).reshape(n)
-                assert np.array_equal(_transform(x, products), stacked)
+            for matrix, m in ((forward, q.T), (backward, q)):
+                assert x.dot(matrix).tobytes() == stacked(m, x).tobytes()
+            solved = helmholtz_solve(a, b, ScalarField(g, x)).values
+            expected = stacked(q, stacked(q.T, x) / (b + a * lam))
+            assert solved.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("axis", range(3))
     def test_basis_diagonalizes_axis_stencil(self, axis):

@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -256,6 +259,36 @@ class TestImexStep:
         assert err.value.fields == ["cells", "protease"]
         assert err.value.t == 0.0
 
+    def test_only_the_state_a_step_returned_skips_the_entry_check(self, monkeypatch):
+        # a stepped state's arrays were checked on the way out and are
+        # read-only, so its own next step checks only its output; any other
+        # state, even one built from a stepped state's fields, is checked
+        g = build_grid(8, 1.0)
+        p = _params()
+        checked = []
+        check = stepping._ensure_finite
+
+        def counted(t, *arrays):
+            checked.append(arrays)
+            return check(t, *arrays)
+        monkeypatch.setattr(stepping, "_ensure_finite", counted)
+        s = _smooth_state(g)
+        out = imex_step(s, p, 0.01)
+        assert len(checked) == 2
+        for name in ("cells", "ecm", "protease"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(out, name).values[0] = np.nan
+        imex_step(out, p, 0.01)
+        assert len(checked) == 3
+        imex_step(replace(out), p, 0.01)
+        assert len(checked) == 5
+        nan = ScalarField(g, np.full(8, np.nan))
+        for fields, names in (({"cells": nan}, ["cells"]),
+                              ({"ecm": nan, "protease": nan}, ["ecm", "protease"])):
+            with pytest.raises(BlowupError) as err:
+                imex_step(replace(out, **fields), p, 0.01)
+            assert err.value.fields == names
+
     def test_blowup_names_only_the_overflowing_output_field(self):
         # v * exp(-m dt) overflows at m = -1e3, dt = 1; the protease and
         # cell solves stay finite
@@ -404,7 +437,7 @@ def test_step_after_another_dt_guard_is_a_fresh_step(form, other):
     stable_dt(*guarded[other], cfg)
     out = imex_step(s, p, 0.01)
     # empty the per-step slot, so the reference step computes all afresh
-    stepping._slot[:] = None, None, None, None
+    stepping._slot[:] = None, None, None
     fresh = imex_step(s, p, 0.01)
     for name in ("cells", "ecm", "protease", "int_protease"):
         assert np.array_equal(getattr(out, name).values,
@@ -418,8 +451,13 @@ def test_step_keeps_nothing_past_itself(form):
     s = _smooth_state(g)
     if form == "weighted":
         s = to_weighted_form(s, p)
-    imex_step(s, p, stable_dt(s, p, StepperConfig(1.0, 0.05, 1.0)))
-    assert stepping._slot == [None, None, None, None]
+    out = imex_step(s, p, stable_dt(s, p, StepperConfig(1.0, 0.05, 1.0)))
+    assert stepping._slot == [None, None, None]
+    # the step remembers the state it returned only by weak reference
+    returned = weakref.ref(out)
+    del out
+    gc.collect()
+    assert returned() is None
 
 
 # One step at stable_dt on a matrix pit: v = 0.9 but 0 at the centre cell,
