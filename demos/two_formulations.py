@@ -1,10 +1,10 @@
 """Cross-check the two discretizations of the same model.
 
-The solver can advance either the cell density itself or the weighted
-density u*exp(-int_0^v chi), whose equation has no drift term.  Both
-must tell the same story: this script runs them side by side at two
-resolutions and prints the sup-norm gap in the recovered cell density,
-then measures the scheme's spatial order on a pure-diffusion scenario
+The solver can step the cell density either itself or through the
+weighted density u*exp(-int_0^v chi), whose equation has no drift
+term; both runs record the cell density.  Both must tell the same
+story: this script runs them side by side at two resolutions and
+prints the sup-norm gap in the recorded cell density, then measures the scheme's spatial order on a pure-diffusion scenario
 where the exact answer is smooth.
 
 Usage: python3 demos/two_formulations.py

@@ -1,7 +1,8 @@
 """Norms, claims, a-priori bound monitors, decay fits, and consistency gaps.
 
 Everything here observes a finished simulation and reports; nothing
-mutates or aborts a run, and every record it reads is primitive.  The
+mutates or aborts a run, and every record it reads holds the cell
+density ``u``, whichever scheme stepped it.  The
 bound monitors encode the quantities the invasion system is known to
 control: total cell mass, the sup of the matrix density, protease mass
 against an exponentially relaxing envelope, the weighted cell mass,
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    PRIMITIVE,
     Grid,
     ModelParams,
     ScalarField,
@@ -69,6 +69,8 @@ __all__ = [
 
 VALUE_FLOOR = 1e-14
 BOUND_SLACK = 1e-8
+# the share of a series' usable samples, from its end, that a decay fit reads
+TAIL_FRACTION = 0.5
 
 
 class InsufficientDataError(ValueError):
@@ -132,38 +134,33 @@ class DecayFit:
 
 
 def norm(f: ScalarField, p: float) -> float:
-    """Volume-weighted L^p norm of a field; ``p = inf`` for the sup norm.
+    """Volume-weighted L^p norm of a field for ``p`` = 1, 2 or inf (the sup norm).
 
     The sums and the maximum are ufunc reductions: the bits of ``np.sum``
-    and ``np.max`` without their Python wrappers.
+    and ``np.max`` without their Python wrappers.  Any other ``p`` raises.
     """
     values = f.values
     if p == math.inf:
         return float(_max(np.abs(values), None))
-    if not p >= 1:
-        raise ValidationError(f"norm order must be >= 1 or inf, got {p!r}")
-    vol = f.grid.cell_volume
     if p == 1:
-        return float(_sum(np.abs(values), None) * vol)
+        return float(_sum(np.abs(values), None) * f.grid.cell_volume)
     if p == 2:
-        return float(math.sqrt(_sum(values * values, None) * vol))
-    return float((_sum(np.abs(values) ** p, None) * vol) ** (1.0 / p))
+        return float(math.sqrt(_sum(values * values, None) * f.grid.cell_volume))
+    raise ValidationError(f"norm order must be 1, 2 or inf, got {p!r}")
 
 
-def decay_fit(series: TimeSeries, tail_fraction: float = 0.5) -> DecayFit:
+def decay_fit(series: TimeSeries) -> DecayFit:
     """Fit ``log(value)`` against ``t`` on the tail of a series.
 
     Samples at or below 1e-14 are dropped first (they carry only
-    roundoff); the fit window is the final ``tail_fraction`` of what
+    roundoff); the fit window is the final ``TAIL_FRACTION`` of what
     remains and must hold at least 8 points.  A window with zero
     variance in log space fits perfectly by convention (r_squared 1).
     """
-    if not 0 < tail_fraction < 1:
-        raise ValidationError(f"tail_fraction must be in (0, 1), got {tail_fraction!r}")
     keep = series.values > VALUE_FLOOR
     t_all = series.t[keep]
     vals = series.values[keep]
-    count = math.ceil(tail_fraction * t_all.size)
+    count = math.ceil(TAIL_FRACTION * t_all.size)
     if count < 8:
         raise InsufficientDataError(
             f"tail window of series {series.label!r} holds {count} usable samples;"
@@ -333,8 +330,6 @@ class SteadyClass:
 
 def steady_residual(state: SimState, params: ModelParams) -> float:
     """Max-norm residual of the three stationary equations."""
-    if state.formulation != PRIMITIVE:
-        raise ValidationError("steady_residual expects a primitive-form state")
     u, v, m = state.cells, state.ecm, state.protease
     r_u = (laplacian_neumann(u).values
            - haptotaxis_divergence(u, drift_velocities(v, params.taxis)).values
@@ -423,7 +418,7 @@ def gradv_identity_gap(state: SimState, initial: SimState) -> float:
 
 def equivalence_gap(primitive_states: list[SimState],
                     weighted_states: list[SimState]) -> TimeSeries:
-    """Sup-norm gap in cell density between the (primitive) records of matched runs."""
+    """Sup-norm gap in cell density between the records of matched runs."""
     if len(primitive_states) != len(weighted_states) or not primitive_states:
         raise ScheduleMismatchError("runs must record the same nonzero sample count")
     t = []
@@ -433,8 +428,6 @@ def equivalence_gap(primitive_states: list[SimState],
             raise ScheduleMismatchError(f"sample times diverge: {sp.t!r} vs {sw.t!r}")
         if sp.grid != sw.grid:
             raise ValidationError("compared runs must share a grid")
-        if sp.formulation != PRIMITIVE or sw.formulation != PRIMITIVE:
-            raise ValidationError("expected the primitive records of both runs")
         t.append(sp.t)
         gaps.append(float(np.max(np.abs(sp.cells.values - sw.cells.values))))
     return TimeSeries("equivalence_gap", np.asarray(t), np.asarray(gaps))

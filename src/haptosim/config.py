@@ -339,8 +339,8 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
 
     series.csv and the snapshots share one table writer, whose numbers
     carry 17 significant digits, enough to reproduce the exact doubles
-    on read-back.  Snapshots hold the run's records, which are primitive
-    whichever formulation the run used.  Two records whose times agree
+    on read-back.  Snapshots hold the run's records, whose cells are
+    ``u`` whichever formulation the run used.  Two records whose times agree
     to the 6 decimals of the snapshot name raise ValidationError before
     anything is touched, as does a ``source_text`` that does not parse.
     Files an earlier run left that this one does not rewrite are

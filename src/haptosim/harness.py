@@ -4,8 +4,8 @@ A :class:`Scenario` bundles everything needed to reproduce a run: model
 coefficients, grid, step-size policy, initial-condition recipes, and a
 ``regime`` tag naming which theorem's hypotheses the setup is meant to
 satisfy; building one evaluates its initial fields and checks those
-hypotheses, once.  :func:`run` drives the IMEX stepper, stores every
-record in primitive form, and samples named time series;
+hypotheses, once.  :func:`run` drives the IMEX stepper, keeps the
+stepped states as its records, and samples named time series;
 :func:`verify` turns the recorded monitors and decay fits into a
 :class:`TheoremReport` of pass/fail claims: the bound claims of
 :func:`~.analysis.bounds_report`, then the regime's own, which are built
@@ -48,15 +48,13 @@ from .model import (
     WEIGHTED,
     build_grid,
     initial_state,
-    taxis_weight,
 )
 from .stepping import (
     StepperConfig,
     _cell_gradient,
     _min,
-    _primitive_cells,
     _sum,
-    from_weighted_form,
+    _taxis_weight,
     imex_step,
     stable_dt,
     to_weighted_form,
@@ -307,7 +305,7 @@ def preset_scenario(name: str) -> Scenario:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A completed run: its records, in primitive form, and the named monitor series."""
+    """A completed run: its records, each holding ``u``, and the named monitor series."""
 
     scenario: Scenario
     recorded_states: list[SimState]
@@ -337,18 +335,12 @@ def _series_samples(state: SimState, params: ModelParams, u_bar: float,
                     m_star: float) -> dict[str, float]:
     """Every monitor of one record; the only place a record is measured.
 
-    ``state`` is the stepped state, in either form.  A primitive one
-    evaluates the taxis weight ``z`` once, for ``w = u * z``.  A weighted
-    one measures the ``u`` that converting it to its record has just
-    left in the stepper's per-step slot: the record's own cells.
+    ``state`` is the stepped state, whichever scheme stepped it.  Its
+    taxis weight ``z``, for ``w = u * z``, comes from the stepper, which
+    hands a weighted state the ``z`` its step left in the per-step slot.
     """
-    v, m = state.ecm, state.protease
-    if state.formulation == PRIMITIVE:
-        u = state.cells
-        w = u.with_values(u.values * taxis_weight(v, params.taxis).values)
-    else:
-        w = state.cells
-        u = w.with_values(_primitive_cells(state, params))
+    u, v, m = state.cells, state.ecm, state.protease
+    w = u.with_values(u.values * _taxis_weight(state, params))
     dev = u.with_values(u.values - u_bar)
     sqrt_v = v.with_values(np.sqrt(np.maximum(v.values, 0.0)))
     return {
@@ -374,8 +366,8 @@ def run(scenario: Scenario) -> RunResult:
     growth is on, the (conserved) discrete mean of u0 when it is off.
     Records land exactly on the sampling schedule because the step is
     shortened to hit each record time; the final time is always
-    recorded.  Every record is stored in primitive form: a weighted run
-    converts each record once, here, and nothing downstream converts.
+    recorded.  The records are the stepped states themselves, so every
+    record holds ``u`` and the first is the scenario's initial data.
     """
     u0, v0, m0 = scenario.initial_fields
     params, cfg = scenario.params, scenario.stepper
@@ -383,14 +375,13 @@ def run(scenario: Scenario) -> RunResult:
     m_star = params.steady_protease(u_bar)
 
     state = initial_state(u0, v0, m0)
-    weighted = scenario.formulation == WEIGHTED
-    if weighted:
+    if scenario.formulation == WEIGHTED:
         state = to_weighted_form(state, params)
 
     records, samples = [], []
 
     def record(state: SimState) -> None:
-        records.append(from_weighted_form(state, params) if weighted else state)
+        records.append(state)
         samples.append(_series_samples(state, params, u_bar, m_star))
 
     t_end = cfg.t_end

@@ -446,12 +446,12 @@ WEIGHTED = "weighted"
 class SimState:
     """Simulation state at one instant.
 
-    ``cells`` holds the cell density ``u`` in the primitive formulation,
-    or the weighted density ``u * exp(-int_0^v chi)`` in the weighted
-    one.  ``int_protease`` accumulates ``int_0^t m`` per cell; it exists
-    to check the exact matrix-decay identities during analysis, and the
-    time integral of the protease gradient is derived from it there.
-    Nothing else that can be computed from these fields is stored.
+    ``cells`` holds the cell density ``u`` in either ``formulation``,
+    which only names the scheme that steps the state.  ``int_protease``
+    accumulates ``int_0^t m`` per cell; it exists to check the exact
+    matrix-decay identities during analysis, and the time integral of
+    the protease gradient is derived from it there.  Nothing else that
+    can be computed from these fields is stored.
     """
 
     t: float
@@ -487,5 +487,5 @@ class SimState:
 
 
 def initial_state(u0: ScalarField, v0: ScalarField, m0: ScalarField) -> SimState:
-    """Primitive-form state at t=0 with a zeroed time integral."""
+    """State at t=0, tagged for the primitive scheme, with a zeroed time integral."""
     return SimState(0.0, u0, v0, m0, PRIMITIVE)

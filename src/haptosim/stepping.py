@@ -10,15 +10,17 @@ splitting, always in the same order:
 3. cells: implicit diffusion with the drift and growth terms explicit,
    evaluated at step-start fields.
 
-The same splitting runs in two algebraically equivalent formulations.
-The primitive one integrates the cell density ``u`` directly, with the
-donor-cell drift flux, its one discretization.  The weighted one
-integrates ``w = u * exp(-int_0^v chi)``, whose equation trades the
-drift divergence for a first-order transport term plus reaction terms;
-it exists to cross-check the primitive discretization.  Only this
-module and the run loop, which stores every record primitive, see it.
+Every state holds the cell density ``u``; its ``formulation`` names
+the scheme that steps it.  The primitive scheme integrates ``u``
+directly, with the donor-cell drift flux, its one discretization.  The
+weighted one forms ``w = u * exp(-int_0^v chi)`` inside
+:func:`imex_step`, integrates the equation of ``w``, which trades the
+drift divergence for a first-order transport term plus reaction terms,
+and returns ``u = w / z`` with the weight ``z`` of the new matrix; it
+exists to cross-check the primitive discretization.  Only
+:func:`imex_step` forms ``w``.
 
-Neither form keeps ``u`` nonnegative on every input the validators
+Neither scheme keeps ``u`` nonnegative on every input the validators
 accept.  The drift guard of :func:`stable_dt` is per axis, so a
 primitive cell can drain through several faces in one step (ROADMAP
 item 2), and the weighted step's centred transport term has no sign
@@ -32,17 +34,18 @@ and the cell-centred gradient are linear, so it equals the gradient of
 
 Each per-state quantity is computed once, and this module alone keeps
 it: one slot, keyed on the identity of the state and of ``chi``, holds
-the face drift velocities of a primitive state or the primitive cells
-``u = w / z`` of a weighted one.  Whichever of :func:`stable_dt`,
-:func:`from_weighted_form` and :func:`imex_step` first needs it fills
-it; the record conversion, the record's sampler, the guards and the
-step then read the same array, so a weighted record's cells are the
-``u`` the step uses.  :func:`imex_step` empties the slot before its
-solves.  It also remembers, by weak reference, the state it returned
-last, whose cell, matrix and protease arrays it made read-only after
-checking them finite: that state's next step skips the entry check,
-which any other state gets.  The operators hold no state, and nothing
-is stored on a field.
+the face drift velocities of a primitive state or the taxis weight
+``z`` of a weighted one.  Whichever of :func:`stable_dt`,
+:func:`_taxis_weight` and :func:`imex_step` first needs it fills it.
+:func:`imex_step` empties the slot before its solves, and a weighted
+step leaves there the weight of its new matrix, under the state it
+returns, so the record's sampler and the next step read the ``z`` that
+step divided by.  The slot is a pure cache: a miss recomputes the same
+bits.  :func:`imex_step` also remembers, by weak reference, the state
+it returned last, whose cell, matrix and protease arrays it made
+read-only after checking them finite: that state's next step skips the
+entry check, which any other state gets.  The operators hold no state,
+and nothing is stored on a field.
 
 A step is written to cost its arithmetic and little more, with one step
 path for every dimension.  It works on raw arrays, calls each public
@@ -149,19 +152,18 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
     ``L_g * max u``).  Denominators are floored at 1e-14 so quiescent
     states fall back to ``dt_max``.
 
-    The guards read the state's raw arrays and the per-step slot: the
-    drift velocities of a primitive state, or the primitive cells of a
-    weighted one.
+    The guards read the state's raw arrays and, for a primitive state,
+    the drift velocities in the per-step slot.
     """
     ecm = state.ecm
-    v, m = ecm.values, state.protease.values
+    u, v, m = state.cells.values, ecm.values, state.protease.values
     # every axis has at least two cells, so every velocity array is nonempty;
     # a weighted step has no drift divergence to reuse them in, so the slot
     # keeps none of them
     if state.formulation == PRIMITIVE:
-        u, velocities = state.cells.values, _per_step(state, params)
+        velocities = _per_step(state, params)
     else:
-        u, velocities = _per_step(state, params), drift_velocities(ecm, params.taxis)
+        velocities = drift_velocities(ecm, params.taxis)
 
     candidates = []
     for h, vel in zip(ecm.grid.spacing, velocities):
@@ -187,30 +189,31 @@ def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
 
 # The one per-step cache, ``[state, chi, value]``.  It holds the state and
 # ``chi`` themselves, so neither identity can be reused while cached.
-# ``imex_step`` empties it before its solves.
+# ``imex_step`` empties it before its solves, and a weighted step refills it
+# with the weight of the state it returns.
 _slot: list = [None, None, None]
 
 
 def _per_step(state: SimState, params: ModelParams):
-    """The drift velocities of a primitive state, or the cells ``u`` of a weighted one.
-
-    A weighted state's cells are ``w / z`` with its taxis weight ``z``,
-    which is evaluated here and nowhere else on a step.
-    """
+    """The drift velocities of a primitive state, or the weight ``z`` of a weighted one."""
     chi, slot = params.taxis, _slot
     if slot[0] is not state or slot[1] is not chi:
         if state.formulation == PRIMITIVE:
             value = drift_velocities(state.ecm, chi)
         else:
-            value = state.cells.values / taxis_weight(state.ecm, chi).values
+            value = taxis_weight(state.ecm, chi).values
         slot[:] = state, chi, value
     return slot[2]
 
 
-def _primitive_cells(state: SimState, params: ModelParams) -> np.ndarray:
-    """The primitive cell density ``u`` as a raw array, whichever form the state holds."""
+def _taxis_weight(state: SimState, params: ModelParams) -> np.ndarray:
+    """The taxis weight ``z`` of the state's matrix as a raw array.
+
+    A weighted state's is the slot's, the ``z`` its step divided by; a
+    primitive state's is evaluated afresh.
+    """
     if state.formulation == PRIMITIVE:
-        return state.cells.values
+        return taxis_weight(state.ecm, params.taxis).values
     return _per_step(state, params)
 
 
@@ -246,25 +249,30 @@ def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     step holds a non-finite value.  The new state's cells, matrix and
     protease arrays are read-only, so the state this returned last enters
     its next step without a second check.
+
+    A weighted step forms ``w = u * z`` with the slot's weight ``z``,
+    solves for ``w_new`` and returns ``u = w_new / z_new``, leaving the
+    new matrix's weight ``z_new`` in the slot under the state it returns.
     """
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     cells, ecm, protease, form = state.cells, state.ecm, state.protease, state.formulation
     grid = cells.grid
-    w, v, m = cells.values, ecm.values, protease.values
+    u, v, m = cells.values, ecm.values, protease.values
     last = _checked[0]
     if last is None or last() is not state:
-        _ensure_finite(state.t, w, v, m)
+        _ensure_finite(state.t, u, v, m)
     chi, g = params.taxis, params.production
     mu = params.growth_rate
-    u = _primitive_cells(state, params)
 
     # the cells' explicit terms come first: they are the step's last use of
     # the slot, so it empties before the solves
     if form == PRIMITIVE:
+        w = u
         drift = haptotaxis_divergence(cells, _per_step(state, params)).values
         explicit = mu * u * (1.0 - u - v) - drift
     else:
+        w = u * _per_step(state, params)
         dot = np.zeros(grid.shape)
         for d in range(grid.dims):
             dot += _neighbour_mean(_face_diffs(v, grid, d) * _face_diffs(w, grid, d), d)
@@ -277,32 +285,34 @@ def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
         ScalarField(grid, m / dt + u * g(v)))
     ecm_new = step_v_exact(ecm, protease, dt)
     cells_new = helmholtz_solve(1.0, 1.0 / dt, ScalarField(grid, w / dt + explicit))
+    if form == WEIGHTED:
+        z_new = taxis_weight(ecm_new, chi).values
+        cells_new = ScalarField(grid, cells_new.values / z_new)
 
-    w_new, v_new, m_new = cells_new.values, ecm_new.values, protease_new.values
-    _ensure_finite(state.t, w_new, v_new, m_new)
+    u_new, v_new, m_new = cells_new.values, ecm_new.values, protease_new.values
+    _ensure_finite(state.t, u_new, v_new, m_new)
     # ``setflags`` costs half of a ``flags.writeable`` assignment
-    for values in (w_new, v_new, m_new):
+    for values in (u_new, v_new, m_new):
         values.setflags(write=False)
 
     int_m = state.int_protease.values + 0.5 * dt * (m + m_new)
     out = SimState(state.t + dt, cells_new, ecm_new, protease_new, form,
                    ScalarField(grid, int_m))
+    if form == WEIGHTED:
+        _slot[:] = out, chi, z_new
     _checked[0] = weakref.ref(out)
     return out
 
 
 def to_weighted_form(state: SimState, params: ModelParams) -> SimState:
-    """Switch to the weighted density ``w = u * exp(-int_0^v chi)``."""
+    """The same state, its cells ``u``, tagged for the weighted scheme."""
     if state.formulation != PRIMITIVE:
         raise ValidationError("state is already in weighted form")
-    z = taxis_weight(state.ecm, params.taxis)
-    return replace(state, cells=state.cells.with_values(state.cells.values * z.values),
-                   formulation=WEIGHTED)
+    return replace(state, formulation=WEIGHTED)
 
 
 def from_weighted_form(state: SimState, params: ModelParams) -> SimState:
-    """Recover the primitive cell density: the record's cells are the slot's ``u``."""
+    """The same state, its cells ``u``, tagged for the primitive scheme."""
     if state.formulation != WEIGHTED:
         raise ValidationError("state is not in weighted form")
-    return replace(state, cells=state.cells.with_values(_primitive_cells(state, params)),
-                   formulation=PRIMITIVE)
+    return replace(state, formulation=PRIMITIVE)

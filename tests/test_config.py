@@ -599,7 +599,7 @@ def test_snapshots_read_back_exactly(cells, extent, formulation, tmp_path):
         path = tmp_path / "snapshots" / f"state_{state.t:.6f}.csv"
         assert path.read_text().split("\n", 1)[0] == ",".join(names)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        assert state.formulation == "primitive"
+        assert state.formulation == formulation
         indices = np.meshgrid(*(np.arange(n) for n in grid.shape), indexing="ij")
         expected = np.column_stack(
             [f.ravel() for f in (*indices, *grid.centers(), state.cells.values,

@@ -430,9 +430,11 @@ def test_run_is_deterministic():
 def test_run_weighted_formulation_tracks_primitive():
     prim = run(quick_scenario(t_end=0.5))
     wgt = run(quick_scenario(t_end=0.5, formulation=WEIGHTED))
-    # a weighted run stores its records primitive, like a primitive run
-    assert all(s.formulation == PRIMITIVE for s in wgt.recorded_states)
-    # series are computed on the primitive density either way; the two
+    # a weighted run's records are its stepped states, which hold u like a
+    # primitive run's
+    assert all(s.formulation == WEIGHTED for s in wgt.recorded_states)
+    assert all(s.formulation == PRIMITIVE for s in prim.recorded_states)
+    # series are computed on the cell density either way; the two
     # discretizations only agree to first order in h and dt, and this
     # smoke test runs very coarse
     gap = np.abs(prim.series["cell_mass"].values - wgt.series["cell_mass"].values)
@@ -440,7 +442,7 @@ def test_run_weighted_formulation_tracks_primitive():
 
 
 def stepped_states(monkeypatch):
-    """Every state a run steps through, in its own form, keyed by time."""
+    """Every state a run steps through, keyed by time."""
     states = {}
 
     def keep(fn):
@@ -455,7 +457,7 @@ def stepped_states(monkeypatch):
 
 
 @pytest.mark.parametrize("cells", [16, (8, 6)], ids=["1d", "2d"])
-def test_run_stores_weighted_records_primitive_bit_for_bit(cells, monkeypatch):
+def test_weighted_run_records_its_stepped_states_bit_for_bit(cells, monkeypatch):
     sc = quick_scenario(cells=cells, formulation=WEIGHTED,
                         chi=FunctionSpec.affine(0.3, 0.7))
     stepped = stepped_states(monkeypatch)
@@ -469,32 +471,41 @@ def test_run_stores_weighted_records_primitive_bit_for_bit(cells, monkeypatch):
     res = run(sc)
     assert len(res.recorded_states) == 6
     for record in res.recorded_states:
-        state = stepped[record.t]
-        assert state.formulation == WEIGHTED
-        assert record.formulation == PRIMITIVE
-        z = taxis_weight(state.ecm, sc.params.taxis).values
-        assert record.cells.values.tobytes() == (state.cells.values / z).tobytes()
-        # the sampler measures the record's own cells, not a second division
+        assert record is stepped[record.t]
+        assert record.formulation == WEIGHTED
+        # the sampler measures the record's own cells, and w = u * z with the
+        # weight of the record's matrix
         assert any(values is record.cells.values for values in measured)
-        assert record.ecm is state.ecm and record.protease is state.protease
-        assert record.int_protease is state.int_protease
+        z = taxis_weight(record.ecm, sc.params.taxis).values
+        w = (record.cells.values * z).tobytes()
+        assert any(values.tobytes() == w for values in measured)
+
+
+def test_weighted_run_starts_from_its_initial_cells_bit_for_bit():
+    sc = quick_scenario(formulation=WEIGHTED, chi=FunctionSpec.affine(0.3, 0.7),
+                        jitter=0.05, seed=3)
+    u0 = sc.initial_fields[0].values
+    first = run(sc).initial_state
+    assert first.t == 0.0
+    assert first.cells.values.tobytes() == u0.tobytes()
 
 
 def test_weighted_run_evaluates_the_taxis_weight_once_per_record(monkeypatch):
-    # every step lands on a record: the switch to the weighted form takes
-    # one evaluation, and each record's conversion one more, which its
-    # sampler and the next step's guards reuse
+    # every step lands on a record.  The switch to the weighted form only
+    # retags the state; the first record's sampler evaluates z(v0), which
+    # the first step reuses, and each step evaluates the weight of its new
+    # matrix once, which its record's sampler and the next step reuse
     calls = []
 
     def counted(v, chi):
         calls.append(v)
         return taxis_weight(v, chi)
-    for module in (harness, stepping):
-        monkeypatch.setattr(module, "taxis_weight", counted)
+    monkeypatch.setattr(stepping, "taxis_weight", counted)
     res = run(quick_scenario(formulation=WEIGHTED, t_end=0.5, dt_max=0.05,
                              record_every=0.05, u0=InitialSpec.constant(0.5)))
-    assert len(res.recorded_states) == 11
-    assert len(calls) == 1 + 11
+    steps = len(res.recorded_states) - 1
+    assert steps == 10
+    assert len(calls) == steps + 1
 
 
 def test_primitive_run_evaluates_the_drift_velocities_once_per_step(monkeypatch):

@@ -332,28 +332,35 @@ def _assert_same_bits(out, ref):
 
 
 def _split_step(state, params, dt):
-    """One step of the module docstring's splitting, built from the public operators."""
+    """One step of the module docstring's splitting, built from the public operators.
+
+    The weighted scheme steps ``w = u * z`` with the taxis weight ``z`` of
+    the matrix and returns ``w_new / z_new`` with that of the new matrix.
+    """
     chi, g, mu = params.taxis, params.production, params.growth_rate
     cells, v, m = state.cells, state.ecm, state.protease
     weighted = state.formulation == WEIGHTED
-    u = cells.values / taxis_weight(v, chi).values if weighted else cells.values
+    u = cells.values
     m_new = helmholtz_solve(params.protease_diffusion, 1.0 / dt + params.protease_decay,
                             m.with_values(m.values / dt + u * g(v.values)))
     v_new = step_v_exact(v, m, dt)
     if weighted:
-        w = cells.values
-        grad_v, grad_w = gradient_faces(v), gradient_faces(cells)
+        w = cells.with_values(u * taxis_weight(v, chi).values)
+        grad_v, grad_w = gradient_faces(v), gradient_faces(w)
         dot = np.zeros(state.grid.shape)
         for d in range(state.grid.dims):
             dot += _cells_from_faces(grad_v[d] * grad_w[d], d)
         chi_v = chi(v.values)
-        explicit = (chi_v * dot + mu * w * (1.0 - u - v.values)
-                    + chi_v * w * v.values * m.values)
+        explicit = (chi_v * dot + mu * w.values * (1.0 - u - v.values)
+                    + chi_v * w.values * v.values * m.values)
     else:
+        w = cells
         drift = haptotaxis_divergence(cells, drift_velocities(v, chi))
         explicit = -drift.values + mu * u * (1.0 - u - v.values)
-    cells_new = helmholtz_solve(1.0, 1.0 / dt,
-                                cells.with_values(cells.values / dt + explicit))
+    cells_new = helmholtz_solve(1.0, 1.0 / dt, w.with_values(w.values / dt + explicit))
+    if weighted:
+        cells_new = cells_new.with_values(cells_new.values
+                                          / taxis_weight(v_new, chi).values)
     int_m = state.int_protease.with_values(
         state.int_protease.values + 0.5 * dt * (m.values + m_new.values))
     return SimState(state.t + dt, cells_new, v_new, m_new, state.formulation, int_m)
@@ -444,6 +451,28 @@ def test_step_after_another_dt_guard_is_a_fresh_step(form, other):
                               getattr(fresh, name).values), name
 
 
+@pytest.mark.parametrize("cells", [(16,), (8, 6), (6, 5, 4)], ids=["1d", "2d", "3d"])
+def test_weighted_slot_is_a_cache(cells):
+    # a weighted step leaves the weight of its new matrix in the slot under
+    # the state it returns; a copy of that state misses the slot and
+    # evaluates the weight afresh, and must step to the same bits
+    g = build_grid(cells, tuple(1.0 + 0.25 * d for d in range(len(cells))))
+    p = _params(mu=0.8, chi=FunctionSpec.saturating(0.3, 1.2),
+                g=FunctionSpec.affine(0.2, 0.9))
+    start = imex_step(to_weighted_form(_smooth_state(g, seed=len(cells)), p), p, 0.01)
+    cfg = StepperConfig(t_end=1.0, dt_max=0.05, record_every=1.0)
+    cached = [start]
+    for _ in range(3):
+        assert stepping._slot[0] is cached[-1]
+        cached.append(imex_step(cached[-1], p, stable_dt(cached[-1], p, cfg)))
+    copied = [start]
+    for _ in range(3):
+        s = replace(copied[-1])
+        copied.append(imex_step(s, p, stable_dt(s, p, cfg)))
+    for a, b in zip(cached[1:], copied[1:]):
+        _assert_same_bits(a, b)
+
+
 @pytest.mark.parametrize("form", ["primitive", "weighted"])
 def test_step_keeps_nothing_past_itself(form):
     g = build_grid((8, 6), 1.0)
@@ -452,6 +481,14 @@ def test_step_keeps_nothing_past_itself(form):
     if form == "weighted":
         s = to_weighted_form(s, p)
     out = imex_step(s, p, stable_dt(s, p, StepperConfig(1.0, 0.05, 1.0)))
+    if form == "weighted":
+        # past the cache entry of the state it returned: that state, chi and
+        # the weight of its matrix
+        state, chi, z = stepping._slot
+        assert state is out and chi is p.taxis
+        assert z.tobytes() == taxis_weight(out.ecm, chi).values.tobytes()
+        stepping._slot[:] = None, None, None
+        del state, z
     assert stepping._slot == [None, None, None]
     # the step remembers the state it returned only by weak reference
     returned = weakref.ref(out)
@@ -492,35 +529,39 @@ def test_step_on_a_matrix_pit_keeps_cells_nonnegative(form, dims, cfl):
     if form == "weighted":
         s = to_weighted_form(s, p)
     out = imex_step(s, p, stable_dt(s, p, StepperConfig(1.0, 1.0, 1.0, cfl=cfl)))
-    if form == "weighted":
-        out = from_weighted_form(out, p)
     assert out.cells.values.min() >= 0
 
 
 class TestFormulationTransforms:
+    # switching the scheme only retags the state: its cells stay ``u``
     def test_zero_taxis_identity(self):
         g = build_grid(8, 1.0)
         s = _smooth_state(g, seed=1)
         p = _params(chi=FunctionSpec.constant(0.0))
         w = to_weighted_form(s, p)
-        assert np.array_equal(w.cells.values, s.cells.values)
+        assert w.cells.values is s.cells.values
         assert w.formulation == "weighted"
 
     def test_constant_taxis_value(self):
+        # the weighted scheme reads the weight exp(-0.5 v) of the cells it keeps
         g = build_grid(4, 1.0)
         p = _params(chi=FunctionSpec.constant(0.5))
         s = initial_state(ScalarField.full(g, 2.0), ScalarField.full(g, 1.0),
                           ScalarField.zeros(g))
         w = to_weighted_form(s, p)
-        assert np.allclose(w.cells.values, 2.0 * math.exp(-0.5), rtol=1e-15)
+        assert w.cells.values is s.cells.values
+        assert np.allclose(stepping._taxis_weight(w, p), math.exp(-0.5), rtol=1e-15)
 
     def test_round_trip(self):
         g = build_grid(16, 1.0)
         s = _smooth_state(g, seed=8)
         p = _params(chi=FunctionSpec.saturating(0.1, 0.7))
-        back = from_weighted_form(to_weighted_form(s, p), p)
-        assert np.max(np.abs(back.cells.values - s.cells.values)) < 1e-14
+        w = to_weighted_form(s, p)
+        back = from_weighted_form(w, p)
+        assert back.cells.values is w.cells.values is s.cells.values
         assert back.formulation == "primitive"
+        for name in ("ecm", "protease", "int_protease"):
+            assert getattr(back, name) is getattr(s, name)
 
     def test_tag_mismatch_raises(self):
         g = build_grid(8, 1.0)
