@@ -437,47 +437,47 @@ def _write_snapshots(tables: list[tuple[Path, list[np.ndarray]]],
     DeprecationWarning: a lock another thread held at the fork is one the
     child never takes.  The child imports nothing, logs nothing, calls no
     BLAS and touches only the files it creates.  It runs
-    :func:`_write_table` over the arrays it inherited, sends the failures
-    back through a pipe and leaves through ``os._exit``, which runs no
-    exit handler and flushes no inherited buffer.
+    :func:`_write_table` over the arrays it inherited and leaves through
+    ``os._exit``, which runs no exit handler and flushes no inherited
+    buffer.  Its exit status is its one report: 0 when every file of its
+    share was written, 1 otherwise.
 
     Every child is reaped before this returns or raises, also when this
-    process's own share raised or was interrupted.  Files that could not
-    be written, in any share, are named in one OSError.
+    process's own share raised or was interrupted.  After that, and only
+    if nothing raised, this process writes again each share whose child
+    left with 1, and so learns the error of each file that cannot be
+    written.  A child that left with any other status is named with its
+    files.  Files that could not be written, in any share, are named in
+    one OSError.
     """
     k = max(1, min(_usable_cpus(), len(tables))) if hasattr(os, "fork") else 1
-    mine, children, failures = [tables[0::k]], {}, []
+    mine, children, again, failures = [tables[0::k]], {}, [], []
     try:
         for share in (tables[j::k] for j in range(1, k)):
-            read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
             except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
                 mine.append(share)
                 continue
             if pid == 0:
                 status = 1
                 try:
-                    os.close(read_fd)
-                    with open(write_fd, "w", encoding="utf-8") as pipe:
-                        pipe.write("\n".join(_write_share(share, header, templates)))
-                    status = 0
+                    status = 1 if _write_share(share, header, templates) else 0
                 finally:
                     os._exit(status)
-            os.close(write_fd)
-            children[pid] = (read_fd, share)
+            children[pid] = share
         for share in mine:
             failures += _write_share(share, header, templates)
     finally:
-        for pid, (read_fd, share) in children.items():
-            with open(read_fd, encoding="utf-8") as pipe:
-                failures += filter(None, pipe.read().split("\n"))
+        for pid, share in children.items():
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
+            if code == 1:
+                again.append(share)
+            elif code:
                 failures.append(f"{', '.join(str(path) for path, _ in share)}: "
                                 f"writer process exited with code {code}")
+    for share in again:
+        failures += _write_share(share, header, templates)
     if failures:
         raise OSError("could not write " + "; ".join(failures))
 

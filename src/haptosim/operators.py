@@ -10,12 +10,13 @@ conserve their field's volume integral to roundoff.  The drift flux has
 one discretization, the donor-cell (upwind) value of the transported
 field.
 
-The operators hold no state: apart from the Helmholtz solve's per-grid
-DCT basis and the products that apply it, each call computes its result
-from its arguments alone.  A call checks its arguments once and then
-runs NumPy on raw arrays.  The per-grid cache is keyed by the grid's
-cell counts and spacing, and a divergence sums its axes' terms without
-first allocating zeros.
+The operators hold no state: apart from the Helmholtz solve's two DCT
+passes and its scaled eigenvalues, each call computes its result from
+its arguments alone.  A call checks its arguments once and then runs
+NumPy on raw arrays.  The solve's one cache is keyed by the grid's cell
+counts and spacing and by the coefficient ``a``, and every dimension
+reads it the same way.  A divergence sums its axes' terms without first
+allocating zeros.
 """
 
 from __future__ import annotations
@@ -175,9 +176,6 @@ def haptotaxis_divergence(u: ScalarField,
 # Helmholtz-type solves (b*I - a*Laplacian) x = rhs
 
 
-# keyed by the grid's cell counts and spacing, two tuples the cache hashes
-# in C, where a Grid key would run the dataclass's Python-level hash
-@functools.lru_cache(maxsize=8)
 def _dct_modes(cells: tuple[int, ...],
                spacing: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Eigenbasis of the Neumann Laplacian on a grid of ``cells`` and ``spacing``.
@@ -185,7 +183,8 @@ def _dct_modes(cells: tuple[int, ...],
     Returns the orthonormal DCT-II matrix ``Q`` of each axis (column
     ``k`` is the mode ``cos(pi k (j + 1/2) / n)``) and the eigenvalues of
     ``-Laplacian`` on the whole grid, ``sum_d (4/h_d**2) sin**2(pi k_d / 2n_d)``.
-    The arrays are read-only and cached per grid.
+    The arrays are read-only.  Nothing is cached here: a solve reads them
+    through :func:`_dct_passes`, which builds them once per grid and ``a``.
     """
     bases = []
     lam = np.zeros(cells)
@@ -201,33 +200,31 @@ def _dct_modes(cells: tuple[int, ...],
     return tuple(bases), lam
 
 
-# keyed like _dct_modes and by the solve's coefficient ``a``, which is fixed
-# at each call site; a solve reads its passes and ``a * lambda`` from here
+# keyed by the grid's cell counts and spacing, two tuples the cache hashes
+# in C, where a Grid key would run the dataclass's Python-level hash, and by
+# the solve's coefficient ``a``, which is fixed at each call site
 @functools.lru_cache(maxsize=16)
 def _dct_passes(cells: tuple[int, ...], spacing: tuple[float, ...],
                 a: float) -> tuple:
     """The two passes of a solve on a grid, with ``a`` times its eigenvalues between.
 
-    Returns ``(forward, a_lam, backward)``; ``a_lam`` is read-only.  On a
-    1D grid a pass is its one matrix, which a solve applies as the row
-    product ``values.dot(matrix)``: the same BLAS call as ``values @
-    matrix``, without the ufunc layer of ``matmul``, and with the bits of
-    the ``(1, n)`` product.  Otherwise a pass holds one product per
-    axis, ``(matrix, lines, last)``: a C-ordered array is reshaped to
-    ``lines``, a view, and multiplied by ``matrix``.  Along the last,
-    contiguous axis the lines are the rows of a ``(lines, n)`` view, and
-    one row product ``rows.dot(matrix)`` takes them all; a 2D array
-    already is its rows, so ``lines`` is None and no reshape is made.
-    Along any other axis the reshape is to (lines before, ``n``, lines
-    after), and one stacked ``matmul(matrix, lines)`` takes them.
-    Neither makes a transposed copy.  The forward pass applies ``Q^T`` to
-    every line, the backward pass ``Q``.
+    Returns ``(forward, a_lam, backward)``.  Each pass is a callable that
+    takes a C-ordered array of the grid's shape to a new one: the forward
+    pass applies ``Q^T`` to every line along every axis, the backward pass
+    ``Q``.  ``a_lam`` is read-only.  This is the one cache of the solve's
+    tables, keyed by grid and ``a``.
+
+    On a 1D grid a pass is the matrix's own bound product, ``Q.T.dot``
+    forward and ``Q.dot`` backward: one BLAS call without the ufunc layer
+    of ``matmul``, with the bits of the row products ``values.dot(Q)`` and
+    ``values.dot(Q.T)``, and so of the ``(1, n)`` product.  On a 2D or 3D
+    grid a pass is :func:`_transform` bound to one product per axis.
     """
     bases, lam = _dct_modes(cells, spacing)
     a_lam = a * lam
     a_lam.flags.writeable = False
     if len(cells) == 1:
-        return bases[0], a_lam, bases[0].T
+        return bases[0].T.dot, a_lam, bases[0].dot
     forward, backward = [], []
     for d, (n, q) in enumerate(zip(cells, bases)):
         if d == len(cells) - 1:
@@ -238,11 +235,22 @@ def _dct_passes(cells: tuple[int, ...], spacing: tuple[float, ...],
             lines = (math.prod(cells[:d]), n, -1)
             forward.append((q.T, lines, False))
             backward.append((q, lines, False))
-    return tuple(forward), a_lam, tuple(backward)
+    return (functools.partial(_transform, tuple(forward)), a_lam,
+            functools.partial(_transform, tuple(backward)))
 
 
-def _transform(values: np.ndarray, products: tuple) -> np.ndarray:
-    """Apply one pass of :func:`_dct_passes` to C-ordered 2D or 3D ``values``."""
+def _transform(products: tuple, values: np.ndarray) -> np.ndarray:
+    """Apply one product per axis, ``(matrix, lines, last)``, to C-ordered ``values``.
+
+    Along the last, contiguous axis the lines are the rows of a
+    ``(lines, n)`` view, and one row product ``rows.dot(matrix)`` takes
+    them all; a 2D array already is its rows, so ``lines`` is None and no
+    reshape is made.  Along any other axis ``values`` is reshaped to
+    (lines before, ``n``, lines after), a view, and one stacked
+    ``matmul(matrix, lines)`` takes them.  Neither makes a transposed
+    copy.  A 1D grid's pass does not come here: its one product is cheaper
+    called directly.
+    """
     shape = values.shape
     for matrix, lines, last in products:
         if lines is None:
@@ -260,17 +268,14 @@ def helmholtz_solve(a: float, b: float, rhs: ScalarField) -> ScalarField:
     The solve is direct and the same in every dimension.  The
     orthonormal DCT-II basis of each axis diagonalizes the mirror-ghost
     Laplacian exactly (G. Strang, "The Discrete Cosine Transform", SIAM
-    Review 41, 1999), so ``rhs`` is taken into that basis, divided by
-    ``b + a*lambda`` and taken back.  The result is exact to roundoff;
-    there is no tolerance and no iteration.  The bases, and ``a`` times
-    the eigenvalues, are cached per grid and ``a``.
+    Review 41, 1999), so ``rhs`` is taken into that basis by the forward
+    pass of :func:`_dct_passes`, divided by ``b + a*lambda`` and taken
+    back by the backward pass.  The result is exact to roundoff; there is
+    no tolerance and no iteration.  The passes, and ``a`` times the
+    eigenvalues, are cached per grid and ``a``.
     """
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValidationError(f"need positive finite coefficients, got a={a}, b={b}")
     grid = rhs.grid
     forward, a_lam, backward = _dct_passes(grid.cells, grid.spacing, a)
-    values = rhs.values
-    if values.ndim == 1:
-        return ScalarField(grid, (values.dot(forward) / (b + a_lam)).dot(backward))
-    x = _transform(values, forward) / (b + a_lam)
-    return ScalarField(grid, _transform(x, backward))
+    return ScalarField(grid, backward(forward(rhs.values) / (b + a_lam)))

@@ -301,14 +301,14 @@ class TestHelmholtz:
 
     @pytest.mark.parametrize("n", [128, 64, 33, 8, 2])
     def test_1d_row_product_is_the_stacked_product_bit_for_bit(self, n):
-        # a 1D grid's only axis is its contiguous one, and its pass is one
-        # row product with the table's matrix; that must give the bits of
-        # the stacked matmul every other axis uses, and so must the solve
+        # a 1D grid's only axis is its contiguous one, and each of its passes
+        # is one matrix product; that must give the bits of the row product
+        # and of the stacked matmul every other axis uses, and so must the solve
         g = build_grid(n, 1.0)
-        q = _dct_modes(g.cells, g.spacing)[0][0]
+        bases, lam = _dct_modes(g.cells, g.spacing)
+        q = bases[0]
         a, b = 0.7, 3.0
         forward, a_lam, backward = _dct_passes(g.cells, g.spacing, a)
-        lam = _dct_modes(g.cells, g.spacing)[1]
         assert a_lam.tobytes() == (a * lam).tobytes()
         assert not a_lam.flags.writeable
 
@@ -317,11 +317,41 @@ class TestHelmholtz:
         rng = np.random.default_rng(n)
         for _ in range(50):
             x = rng.standard_normal(n)
-            for matrix, m in ((forward, q.T), (backward, q)):
-                assert x.dot(matrix).tobytes() == stacked(m, x).tobytes()
+            for apply, m in ((forward, q.T), (backward, q)):
+                assert apply(x).tobytes() == stacked(m, x).tobytes()
+                assert apply(x).tobytes() == x.dot(m.T).tobytes()
             solved = helmholtz_solve(a, b, ScalarField(g, x)).values
             expected = stacked(q, stacked(q.T, x) / (b + a * lam))
             assert solved.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("cells", [(128,), (33,), (64, 64), (9, 7), (24, 20, 16),
+                                       ANISO_CELLS], ids=lambda c: "x".join(map(str, c)))
+    def test_solve_keeps_the_bits_of_its_written_out_arithmetic(self, cells):
+        # the solve's arithmetic, written out: in 1D one row product each way;
+        # otherwise a stacked matmul along every axis but the last and one
+        # row product along the last, whose rows a 2D array already is
+        g = build_grid(cells, tuple(1.0 - 0.15 * d for d in range(len(cells))))
+        bases, lam = _dct_modes(g.cells, g.spacing)
+
+        def apply(values, forward):
+            if values.ndim == 1:
+                return values.dot(bases[0] if forward else bases[0].T)
+            shape, last = values.shape, values.ndim - 1
+            for d, q in enumerate(bases[:last]):
+                lines = values.reshape(int(np.prod(shape[:d])), shape[d], -1)
+                values = np.matmul(q.T if forward else q, lines).reshape(shape)
+            q = bases[last] if forward else bases[last].T
+            if values.ndim == 2:
+                return values.dot(q)
+            return values.reshape(-1, shape[last]).dot(q).reshape(shape)
+
+        rng = np.random.default_rng(sum(cells))
+        for a, b in ((1.0, 1.5), (0.7, 3.0), (2.5e-3, 1.0)):
+            for _ in range(5):
+                x = rng.standard_normal(g.shape)
+                solved = helmholtz_solve(a, b, ScalarField(g, x)).values
+                expected = apply(apply(x, True) / (b + a * lam), False)
+                assert solved.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("axis", range(3))
     def test_basis_diagonalizes_axis_stencil(self, axis):
