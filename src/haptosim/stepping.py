@@ -34,18 +34,19 @@ and the cell-centred gradient are linear, so it equals the gradient of
 
 Each per-state quantity is computed once, and this module alone keeps
 it: one slot, keyed on the identity of the state and of ``chi``, holds
-the face drift velocities of a primitive state or the taxis weight
-``z`` of a weighted one.  Whichever of :func:`stable_dt`,
-:func:`_taxis_weight` and :func:`imex_step` first needs it fills it.
-:func:`imex_step` empties the slot before its solves, and a weighted
-step leaves there the weight of its new matrix, under the state it
-returns, so the record's sampler and the next step read the ``z`` that
-step divided by.  The slot is a pure cache: a miss recomputes the same
-bits.  :func:`imex_step` also remembers, by weak reference, the state
-it returned last, whose cell, matrix and protease arrays it made
-read-only after checking them finite: that state's next step skips the
-entry check, which any other state gets.  The operators hold no state,
-and nothing is stored on a field.
+that state's face drift velocities and its taxis weight ``z``.
+Whichever of :func:`stable_dt`, :func:`_taxis_weight` and
+:func:`imex_step` first needs one fills it, whatever the scheme.
+:func:`imex_step` empties the slot before its solves and keys it to
+the state it returns, with that state's weight if a weighted step
+divided by it, so the record's sampler and the next step read the
+``z`` that step divided by.  The slot is a pure cache: a miss
+recomputes the same bits.  It also marks a state :func:`imex_step`
+returned, whose cell, matrix and protease arrays it made read-only
+after checking them finite: that state's next step skips the entry
+check, which any other state gets.  Apart from the two retags, only
+:func:`imex_step` reads a state's ``formulation``.  The operators hold
+no state, and nothing is stored on a field.
 
 A step is written to cost its arithmetic and little more, with one step
 path for every dimension.  It works on raw arrays, calls each public
@@ -61,7 +62,6 @@ one NumPy call fewer.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,6 +142,15 @@ def step_v_exact(v: ScalarField, m: ScalarField, dt: float) -> ScalarField:
     return ScalarField(v.grid, v.values * np.exp(m.values * -dt))
 
 
+# The one per-state cache, ``[state, chi, velocities, z, checked]``: the
+# drift velocities and the taxis weight of ``state``'s matrix under ``chi``,
+# each None until first needed, and whether ``imex_step`` returned ``state``
+# checked finite and read-only.  It holds the state and ``chi`` themselves,
+# so neither identity can be reused while cached.  The lookups are written
+# out at each use: a helper call per lookup costs the 1D step a few percent.
+_slot: list = [None, None, None, None, False]
+
+
 def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float:
     """Largest safe explicit step, capped by ``cfg.dt_max``.
 
@@ -152,19 +161,18 @@ def stable_dt(state: SimState, params: ModelParams, cfg: StepperConfig) -> float
     ``L_g * max u``).  Denominators are floored at 1e-14 so quiescent
     states fall back to ``dt_max``.
 
-    The guards read the state's raw arrays and, for a primitive state,
-    the drift velocities in the per-step slot.
+    The guards read the state's raw arrays and the drift velocities in
+    the slot, in either scheme; a primitive step transports them.
     """
-    ecm = state.ecm
+    ecm, chi, slot = state.ecm, params.taxis, _slot
     u, v, m = state.cells.values, ecm.values, state.protease.values
-    # every axis has at least two cells, so every velocity array is nonempty;
-    # a weighted step has no drift divergence to reuse them in, so the slot
-    # keeps none of them
-    if state.formulation == PRIMITIVE:
-        velocities = _per_step(state, params)
-    else:
-        velocities = drift_velocities(ecm, params.taxis)
+    if slot[0] is not state or slot[1] is not chi:
+        slot[:] = state, chi, None, None, False
+    velocities = slot[2]
+    if velocities is None:
+        velocities = slot[2] = drift_velocities(ecm, chi)
 
+    # every axis has at least two cells, so every velocity array is nonempty
     candidates = []
     for h, vel in zip(ecm.grid.spacing, velocities):
         speed = float(_max(np.abs(vel), None))
@@ -187,34 +195,18 @@ def _cell_gradient(f: ScalarField) -> list[np.ndarray]:
             for d, comp in enumerate(gradient_faces(f))]
 
 
-# The one per-step cache, ``[state, chi, value]``.  It holds the state and
-# ``chi`` themselves, so neither identity can be reused while cached.
-# ``imex_step`` empties it before its solves, and a weighted step refills it
-# with the weight of the state it returns.
-_slot: list = [None, None, None]
-
-
-def _per_step(state: SimState, params: ModelParams):
-    """The drift velocities of a primitive state, or the weight ``z`` of a weighted one."""
-    chi, slot = params.taxis, _slot
-    if slot[0] is not state or slot[1] is not chi:
-        if state.formulation == PRIMITIVE:
-            value = drift_velocities(state.ecm, chi)
-        else:
-            value = taxis_weight(state.ecm, chi).values
-        slot[:] = state, chi, value
-    return slot[2]
-
-
 def _taxis_weight(state: SimState, params: ModelParams) -> np.ndarray:
     """The taxis weight ``z`` of the state's matrix as a raw array.
 
-    A weighted state's is the slot's, the ``z`` its step divided by; a
-    primitive state's is evaluated afresh.
+    It is the slot's, in either scheme: after a weighted step, the ``z``
+    that step divided by; otherwise evaluated once and kept there.
     """
-    if state.formulation == PRIMITIVE:
-        return taxis_weight(state.ecm, params.taxis).values
-    return _per_step(state, params)
+    chi, slot = params.taxis, _slot
+    if slot[0] is not state or slot[1] is not chi:
+        slot[:] = state, chi, None, None, False
+    if slot[3] is None:
+        slot[3] = taxis_weight(state.ecm, chi).values
+    return slot[3]
 
 
 def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
@@ -231,11 +223,6 @@ def _ensure_finite(t: float, cells: np.ndarray, ecm: np.ndarray,
         raise BlowupError(t, bad)
 
 
-# the state ``imex_step`` returned last, whose three read-only arrays its
-# exit check proved finite; a weak reference, so no state outlives its holder
-_checked: list = [None]
-
-
 def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     """One IMEX step of size ``dt``; returns the state at ``t + dt``.
 
@@ -247,38 +234,47 @@ def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     go into the new state as they are.  Raises :class:`BlowupError`,
     naming every field at fault, when the state entering or leaving the
     step holds a non-finite value.  The new state's cells, matrix and
-    protease arrays are read-only, so the state this returned last enters
-    its next step without a second check.
+    protease arrays are read-only, and the slot marks the new state
+    checked, so it enters its next step without a second check.
 
-    A weighted step forms ``w = u * z`` with the slot's weight ``z``,
-    solves for ``w_new`` and returns ``u = w_new / z_new``, leaving the
-    new matrix's weight ``z_new`` in the slot under the state it returns.
+    Apart from the two retags, this is the one reader of the state's
+    ``formulation``, and its branches are the scheme's arithmetic alone.  A primitive step
+    transports the slot's drift velocities.  A weighted step drops them,
+    forms ``w = u * z`` with the slot's weight ``z``, solves for ``w_new``
+    and returns ``u = w_new / z_new``.  Either keys the slot to the state
+    it returns, with the weight ``z_new`` of a weighted one.
     """
     if not 0.0 < dt < math.inf:
         raise ValidationError(f"dt must be positive and finite, got {dt!r}")
     cells, ecm, protease, form = state.cells, state.ecm, state.protease, state.formulation
     grid = cells.grid
     u, v, m = cells.values, ecm.values, protease.values
-    last = _checked[0]
-    if last is None or last() is not state:
+    chi, g, slot = params.taxis, params.production, _slot
+    if slot[0] is not state or slot[1] is not chi:
+        slot[:] = state, chi, None, None, False
+    if not slot[4]:
         _ensure_finite(state.t, u, v, m)
-    chi, g = params.taxis, params.production
     mu = params.growth_rate
 
     # the cells' explicit terms come first: they are the step's last use of
     # the slot, so it empties before the solves
     if form == PRIMITIVE:
         w = u
-        drift = haptotaxis_divergence(cells, _per_step(state, params)).values
+        drift = haptotaxis_divergence(
+            cells, drift_velocities(ecm, chi) if slot[2] is None else slot[2]).values
         explicit = mu * u * (1.0 - u - v) - drift
     else:
-        w = u * _per_step(state, params)
+        # the guard's velocities go first: kept alive through the terms
+        # below, they made a 3D weighted run about 30 % slower, for a cause
+        # not established
+        slot[2] = None
+        w = u * (taxis_weight(ecm, chi).values if slot[3] is None else slot[3])
         dot = np.zeros(grid.shape)
         for d in range(grid.dims):
             dot += _neighbour_mean(_face_diffs(v, grid, d) * _face_diffs(w, grid, d), d)
         chi_v = chi(v)
         explicit = chi_v * dot + mu * w * (1.0 - u - v) + chi_v * w * v * m
-    _slot[:] = None, None, None
+    slot[:] = None, None, None, None, False
 
     protease_new = helmholtz_solve(
         params.protease_diffusion, 1.0 / dt + params.protease_decay,
@@ -298,9 +294,7 @@ def imex_step(state: SimState, params: ModelParams, dt: float) -> SimState:
     int_m = state.int_protease.values + 0.5 * dt * (m + m_new)
     out = SimState(state.t + dt, cells_new, ecm_new, protease_new, form,
                    ScalarField(grid, int_m))
-    if form == WEIGHTED:
-        _slot[:] = out, chi, z_new
-    _checked[0] = weakref.ref(out)
+    slot[:] = out, chi, None, z_new if form == WEIGHTED else None, True
     return out
 
 

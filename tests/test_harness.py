@@ -490,22 +490,33 @@ def test_weighted_run_starts_from_its_initial_cells_bit_for_bit():
     assert first.cells.values.tobytes() == u0.tobytes()
 
 
-def test_weighted_run_evaluates_the_taxis_weight_once_per_record(monkeypatch):
-    # every step lands on a record.  The switch to the weighted form only
-    # retags the state; the first record's sampler evaluates z(v0), which
-    # the first step reuses, and each step evaluates the weight of its new
-    # matrix once, which its record's sampler and the next step reuse
-    calls = []
+@pytest.mark.parametrize("formulation", [PRIMITIVE, WEIGHTED])
+def test_run_evaluates_the_taxis_weight_once_per_record(formulation, monkeypatch):
+    # every step lands on a record, whose sampler reads the weight of its
+    # matrix from the stepper's slot.  A weighted step evaluates the weight
+    # of its new matrix once, which its record's sampler and the next step
+    # reuse, and the first step reuses the first record's z(v0).  A
+    # primitive step evaluates none, so each record's sampler does
+    calls, stepping_now = [], [False]
 
     def counted(v, chi):
-        calls.append(v)
+        calls.append(stepping_now[0])
         return taxis_weight(v, chi)
+
+    def step(*args):
+        stepping_now[0] = True
+        try:
+            return stepping.imex_step(*args)
+        finally:
+            stepping_now[0] = False
     monkeypatch.setattr(stepping, "taxis_weight", counted)
-    res = run(quick_scenario(formulation=WEIGHTED, t_end=0.5, dt_max=0.05,
+    monkeypatch.setattr(harness, "imex_step", step)
+    res = run(quick_scenario(formulation=formulation, t_end=0.5, dt_max=0.05,
                              record_every=0.05, u0=InitialSpec.constant(0.5)))
     steps = len(res.recorded_states) - 1
     assert steps == 10
     assert len(calls) == steps + 1
+    assert sum(calls) == (steps if formulation == WEIGHTED else 0)
 
 
 def test_primitive_run_evaluates_the_drift_velocities_once_per_step(monkeypatch):
@@ -535,6 +546,40 @@ def test_primitive_run_evaluates_the_drift_velocities_once_per_step(monkeypatch)
     assert len(steps) >= 10
     assert len(computed) == len(transported) == len(steps)
     assert all(sent is made for sent, made in zip(transported, computed))
+
+
+def test_weighted_run_evaluates_the_drift_velocities_once_per_step(monkeypatch):
+    # each step's dt guard evaluates them into the stepper's slot; a
+    # weighted step transports none of them and drops them from the slot
+    computed, transported, steps, guarding = [], [], [], [False]
+    drift = operators.drift_velocities
+
+    def counted(v, chi):
+        computed.append(guarding[0])
+        return drift(v, chi)
+
+    def guard(*args):
+        guarding[0] = True
+        try:
+            return stepping.stable_dt(*args)
+        finally:
+            guarding[0] = False
+
+    def step(state, *args):
+        steps.append(state.t)
+        return stepping.imex_step(state, *args)
+    for module in (stepping, operators):
+        monkeypatch.setattr(module, "drift_velocities", counted)
+    monkeypatch.setattr(stepping, "haptotaxis_divergence",
+                        lambda u, velocities: transported.append(velocities))
+    monkeypatch.setattr(harness, "stable_dt", guard)
+    monkeypatch.setattr(harness, "imex_step", step)
+    res = run(quick_scenario(cells=(8, 6), formulation=WEIGHTED, t_end=0.5,
+                             dt_max=0.05, record_every=0.1))
+    assert len(res.recorded_states) == 6
+    assert len(steps) >= 10
+    assert len(computed) == len(steps) and all(computed)
+    assert not transported
 
 
 def test_run_validates_regime_hypotheses_up_front():

@@ -353,6 +353,20 @@ class TestHelmholtz:
                 expected = apply(apply(x, True) / (b + a * lam), False)
                 assert solved.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("cells", [(128,), (33,), (2,), (64, 64), (9, 7), (24, 20, 16),
+                                       ANISO_CELLS], ids=lambda c: "x".join(map(str, c)))
+    def test_every_cached_basis_is_64_byte_aligned(self, cells):
+        # a product with a basis costs more when the basis starts off a
+        # 64-byte boundary, so every basis a solve reads starts on one
+        g = build_grid(cells, 1.0)
+        forward, _, backward = _dct_passes(g.cells, g.spacing, 0.7)
+        if len(cells) == 1:
+            matrices = [forward.__self__, backward.__self__]
+        else:
+            matrices = [m for apply in (forward, backward) for m, _, _ in apply.args[0]]
+        assert len(matrices) == 2 * len(cells)
+        assert all(m.ctypes.data % 64 == 0 for m in matrices)
+
     @pytest.mark.parametrize("axis", range(3))
     def test_basis_diagonalizes_axis_stencil(self, axis):
         # each cached axis basis must diagonalize that axis's 1D stencil,

@@ -443,8 +443,8 @@ def test_step_after_another_dt_guard_is_a_fresh_step(form, other):
     guarded = {"state": (s_other, p), "chi": (s, p_other), "formulation": (s_switched, p)}
     stable_dt(*guarded[other], cfg)
     out = imex_step(s, p, 0.01)
-    # empty the per-step slot, so the reference step computes all afresh
-    stepping._slot[:] = None, None, None
+    # empty the per-state slot, so the reference step computes all afresh
+    stepping._slot[:] = None, None, None, None, False
     fresh = imex_step(s, p, 0.01)
     for name in ("cells", "ecm", "protease", "int_protease"):
         assert np.array_equal(getattr(out, name).values,
@@ -452,23 +452,39 @@ def test_step_after_another_dt_guard_is_a_fresh_step(form, other):
 
 
 @pytest.mark.parametrize("cells", [(16,), (8, 6), (6, 5, 4)], ids=["1d", "2d", "3d"])
-def test_weighted_slot_is_a_cache(cells):
-    # a weighted step leaves the weight of its new matrix in the slot under
-    # the state it returns; a copy of that state misses the slot and
-    # evaluates the weight afresh, and must step to the same bits
+@pytest.mark.parametrize("form", ["primitive", "weighted"])
+def test_slot_is_a_cache(form, cells, monkeypatch):
+    # a step keys the slot to the state it returns and marks it checked, so
+    # that state's next step checks only its output; a copy of that state
+    # misses the slot, is checked on entry, evaluates its drift velocities
+    # and weight afresh, and must step to the same bits
     g = build_grid(cells, tuple(1.0 + 0.25 * d for d in range(len(cells))))
     p = _params(mu=0.8, chi=FunctionSpec.saturating(0.3, 1.2),
                 g=FunctionSpec.affine(0.2, 0.9))
-    start = imex_step(to_weighted_form(_smooth_state(g, seed=len(cells)), p), p, 0.01)
+    s = _smooth_state(g, seed=len(cells))
+    if form == "weighted":
+        s = to_weighted_form(s, p)
+    start = imex_step(s, p, 0.01)
+    checked = []
+    check = stepping._ensure_finite
+
+    def counted(t, *arrays):
+        checked.append(t)
+        return check(t, *arrays)
+    monkeypatch.setattr(stepping, "_ensure_finite", counted)
     cfg = StepperConfig(t_end=1.0, dt_max=0.05, record_every=1.0)
     cached = [start]
     for _ in range(3):
-        assert stepping._slot[0] is cached[-1]
+        assert stepping._slot[0] is cached[-1] and stepping._slot[4] is True
         cached.append(imex_step(cached[-1], p, stable_dt(cached[-1], p, cfg)))
+    assert len(checked) == 3
     copied = [start]
     for _ in range(3):
         s = replace(copied[-1])
-        copied.append(imex_step(s, p, stable_dt(s, p, cfg)))
+        dt = stable_dt(s, p, cfg)
+        assert stepping._slot[0] is s and stepping._slot[4] is False
+        copied.append(imex_step(s, p, dt))
+    assert len(checked) == 3 + 2 * 3
     for a, b in zip(cached[1:], copied[1:]):
         _assert_same_bits(a, b)
 
@@ -481,19 +497,21 @@ def test_step_keeps_nothing_past_itself(form):
     if form == "weighted":
         s = to_weighted_form(s, p)
     out = imex_step(s, p, stable_dt(s, p, StepperConfig(1.0, 0.05, 1.0)))
+    # past the cache entry of the state it returned: that state, chi, no
+    # drift velocities, the weight of its matrix if a weighted step divided
+    # by it, and the mark that the step checked it
+    state, chi, velocities, z, checked = stepping._slot
+    assert state is out and chi is p.taxis and velocities is None and checked is True
     if form == "weighted":
-        # past the cache entry of the state it returned: that state, chi and
-        # the weight of its matrix
-        state, chi, z = stepping._slot
-        assert state is out and chi is p.taxis
         assert z.tobytes() == taxis_weight(out.ecm, chi).values.tobytes()
-        stepping._slot[:] = None, None, None
-        del state, z
-    assert stepping._slot == [None, None, None]
-    # the step remembers the state it returned only by weak reference
+    else:
+        assert z is None
     returned = weakref.ref(out)
-    del out
+    del state, z, out
     gc.collect()
+    assert returned() is not None
+    # once the slot is emptied, the state dies with its last reference
+    stepping._slot[:] = None, None, None, None, False
     assert returned() is None
 
 
