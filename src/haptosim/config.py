@@ -339,8 +339,10 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
 
     series.csv and the snapshots share one table writer, whose numbers
     carry 17 significant digits, enough to reproduce the exact doubles
-    on read-back.  Snapshots hold the run's records, whose cells are
-    ``u`` whichever formulation the run used.  Two records whose times agree
+    on read-back: the bytes of ``"%.17g" % x``, rendered a block of rows
+    at a time by one numpy kernel (see :func:`_render`).  Snapshots hold
+    the run's records, whose cells are ``u`` whichever formulation the
+    run used.  Two records whose times agree
     to the 6 decimals of the snapshot name raise ValidationError before
     anything is touched, as does a ``source_text`` that does not parse.
     Files an earlier run left that this one does not rewrite are
@@ -353,7 +355,7 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     forked children (see :func:`_write_snapshots`); the bytes are the
     same on any number of CPUs.  Everything else is written here: the
     collision check, the deletions, series.csv and the snapshot row
-    templates come before the fork, report.txt and config_echo after
+    prefixes come before the fork, report.txt and config_echo after
     the last child is reaped.  Snapshot files that could not be written
     are named in one OSError.  Returns the paths written, in the order
     above with the snapshots in record order.
@@ -382,11 +384,11 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
     t = series[0].t if series else np.empty(0)
     free = [t, *(s.values for s in series)]
     written = [_write_table(out / "series.csv", ["t", *result.series],
-                            _templates(len(t), lambda rows: np.empty((len(rows), 0)),
-                                       len(free)), free)]
+                            _prefixes(len(t), lambda rows: np.empty((len(rows), 0)),
+                                      len(free)), free)]
 
     # every record shares the scenario's grid, so its index and coordinate
-    # columns are rendered once, into the templates
+    # columns are rendered once, into the row prefixes
     grid = result.scenario.grid
     header = ["i", "j", "k"][:grid.dims] + ["x", "y", "z"][:grid.dims] + ["u", "v", "m"]
 
@@ -395,10 +397,10 @@ def emit_outputs(result: RunResult, report: TheoremReport | None,
         return np.column_stack(
             [*index, *(grid.axis_centers(d)[i] for d, i in enumerate(index))])
 
-    templates = _templates(math.prod(grid.shape), grid_columns, 3)
+    prefixes = _prefixes(math.prod(grid.shape), grid_columns, 3)
     _write_snapshots(
         [(path, [f.values.ravel() for f in (state.cells, state.ecm, state.protease)])
-         for path, state in snapshots.items()], header, templates)
+         for path, state in snapshots.items()], header, prefixes)
     written.extend(snapshots)
 
     if report is not None:
@@ -422,7 +424,7 @@ def _usable_cpus() -> int:
 
 
 def _write_snapshots(tables: list[tuple[Path, list[np.ndarray]]],
-                     header: list[str], templates: list[str]) -> None:
+                     header: list[str], prefixes: list[np.ndarray]) -> None:
     """Write each ``(path, free columns)`` table, one interleaved share per CPU.
 
     The tables are split into ``k`` shares, ``tables[j::k]``, where ``k``
@@ -462,12 +464,12 @@ def _write_snapshots(tables: list[tuple[Path, list[np.ndarray]]],
             if pid == 0:
                 status = 1
                 try:
-                    status = 1 if _write_share(share, header, templates) else 0
+                    status = 1 if _write_share(share, header, prefixes) else 0
                 finally:
                     os._exit(status)
             children[pid] = share
         for share in mine:
-            failures += _write_share(share, header, templates)
+            failures += _write_share(share, header, prefixes)
     finally:
         for pid, share in children.items():
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -477,59 +479,319 @@ def _write_snapshots(tables: list[tuple[Path, list[np.ndarray]]],
                 failures.append(f"{', '.join(str(path) for path, _ in share)}: "
                                 f"writer process exited with code {code}")
     for share in again:
-        failures += _write_share(share, header, templates)
+        failures += _write_share(share, header, prefixes)
     if failures:
         raise OSError("could not write " + "; ".join(failures))
 
 
 def _write_share(share: list[tuple[Path, list[np.ndarray]]], header: list[str],
-                 templates: list[str]) -> list[str]:
+                 prefixes: list[np.ndarray]) -> list[str]:
     """Write every table of ``share``; returns one message per file that failed."""
     failures = []
     for path, free in share:
         try:
-            _write_table(path, header, templates, free)
+            _write_table(path, header, prefixes, free)
         except OSError as exc:
             failures.append(f"{path}: {exc.strerror or exc}")
     return failures
 
 
-# Rows are written in blocks of this many, each filled by one "%" call.
-# Blocks of 1024 rows or whole records are no faster, and on a 24x20x16
-# grid they raised the peak RSS by 4-5 MB of freed heap that glibc kept.
-# No whole-table array is built either: on that grid the six fixed
-# columns of a snapshot, stacked whole next to the templates, raised the
-# peak of writing its snapshots from about 0.5 MB to about 1.4 MB.
-_BLOCK_ROWS = 128
+# ---------------------------------------------------------------------------
+# the table writer and its %.17g kernel
+#
+# _render writes the bytes of "%.17g" % v for a whole array of doubles, each
+# into a slot of four little-endian 64-bit words; PAD (zero) bytes fill the
+# slot around the text and are dropped when the rows are written.
+#
+#   word 0      sign and a "0.", "0.0", "0.00" or "0.000" prefix, ending at
+#               byte 5 (byte 6 for the prefixes), or "inf", "-inf", "nan"
+#   bytes 6-23  the significant digits, 7 + i holding digit i, with the
+#               point moved in after digit q by shifting digits 0..q down one
+#   bytes 24-28 "e+XX" or "e-XXX" in exponent form
+#   byte 31     left to the caller, for the separator
+#
+# With x = D * 10**(X - 16), D the 17 digits, "%.17g" is fixed-point for
+# -4 <= X < 17 and exponent form otherwise, without trailing zeros, and with
+# no point when no fraction digit is left.
+
+_WORD = np.dtype("<u8")
+_X_MIN, _X_MAX = -281, 281           # decimal exponents of the fast path
+_ROWS = _X_MAX - _X_MIN + 1          # then one row for inf and one for nan
+_INF, _NAN = _ROWS, _ROWS + 1
+# the fast path takes |x| in [2**-_FAST, 2**_FAST), about [1.1e-280, 4.5e279]:
+# every product and split of the double-double step below stays normal there.
+# Other nonzero finite numbers, and D within 1e-9 of a rounding tie, are
+# rendered by "%" one at a time.
+_FAST = 930
 
 
-def _templates(n_rows: int, fixed: Callable[[np.ndarray], np.ndarray],
-               free: int) -> list[str]:
-    """Row templates of an ``n_rows``-row table, one string per block of rows.
+def _powers_of_ten(k_min: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """For k from ``k_min`` < 0 to ``k_max``: the double ``hi`` nearest 10**k,
+    and the double nearest 10**k - hi."""
+    hi, lo, n = [], [], 10
+    for _ in range(-k_min):
+        h = 1 / n                        # int / int rounds correctly
+        m, s = h.as_integer_ratio()      # s is a power of two
+        hi.append(h)
+        lo.append(math.ldexp((s - m * n) / n, 1 - s.bit_length()))
+        n *= 10
+    hi.reverse()
+    lo.reverse()
+    n = 1
+    for _ in range(k_max + 1):
+        hi.append(float(n))
+        lo.append(float(n - int(hi[-1])))
+        n *= 10
+    return np.array(hi), np.array(lo)
 
-    Each row holds its fixed columns, which ``fixed`` returns for the row
-    numbers of one block as a 2D array and which are rendered here at
-    ``%.17g``, then ``free`` ``%.17g`` slots for :func:`_write_table` to fill.
+
+def _kernel_tables() -> tuple[np.ndarray, ...]:
+    """The kernel's lookup tables, built from integer arithmetic."""
+    k_min = _X_MIN
+    hi, lo = _powers_of_ten(k_min, 16 - _X_MIN)
+    x = np.arange(_X_MIN, _X_MAX + 1)
+    # the least double >= 10**X: lo has the sign of 10**X - hi
+    hi_x, lo_x = hi[x - k_min], lo[x - k_min]
+    least = np.where(lo_x > 0, np.nextafter(hi_x, np.inf), hi_x)
+    # the multiplier 10**(16 - X), with hi split by Veltkamp into 26-bit halves
+    mul_hi, mul_lo = hi[16 - x - k_min], lo[16 - x - k_min]
+    t = mul_hi * 134217729.0
+    mul_hh = t - (t - mul_hi)
+    # by biased binary exponent: on the fast path or not, the row of
+    # floor(E log10 2), and the least double >= 10**(X + 1), from which on
+    # the row is one more
+    e = np.arange(2048) - 1023
+    fast = (e >= -_FAST) & (e < _FAST)
+    row = np.where(fast, ((e * 78913) >> 18) - _X_MIN, -_X_MIN)
+    above = np.where(fast, least[np.minimum(row + 1, _ROWS - 1)], np.inf)
+
+    # the four digits of each chunk 0..9999 as ASCII, and how many of a D's
+    # digits are significant when chunk j of 1..4 is its last nonzero one
+    ascii = np.empty((10000, 4), np.uint8)
+    for i in range(4):
+        ascii[:, i] = np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8),
+                                        10 ** (3 - i)), 10 ** i)
+    shown = np.full(10000, 4, np.uint8)  # a chunk's digits to its last nonzero
+    for i in range(1, 5):
+        shown.reshape(-1, 10 ** i)[:, 0] -= 1
+    length = (shown + np.arange(1, 16, 4, dtype=np.uint8)[:, None]) * (shown > 0)
+
+    # masks of layout code (q + 1) * 18 + n: a point after digit q (q = -1:
+    # none), n digits shown.  keep holds the digits shown, before the bytes
+    # that digits 0..q move down to, point the byte the point goes in
+    q, n = np.divmod(np.arange(18 * 18)[:, None], 18)
+    q -= 1
+    b = np.arange(32)
+    before = (b >= 6) & (b < 7 + q)
+    keep = (b >= 7) & (b < 7 + n)
+    point = np.where((b == 7 + q) & (q >= 0), ord("."), 0)
+    # the layout code of each row and number L of significant digits (L = 0
+    # is D = 0, shown as one digit); inf and nan show none.  The point
+    # follows digit X in fixed-point form and digit 0 in exponent form, if
+    # a digit follows it
+    fixed = (x >= -4) & (x < 17)
+    units = np.where(fixed, x, 0)[:, None]
+    shown = np.maximum(np.arange(18), 1)
+    q = np.where((units >= 0) & (shown > units + 1), units, -1)
+    codes = np.zeros((_ROWS + 2, 18), np.int64)
+    codes[:_ROWS] = (q + 1) * 18 + np.maximum(shown, units + 1)
+
+    # sign and prefix, and suffix, by row and sign bit
+    ends = np.zeros((_ROWS + 2, 2, 32), np.uint8)
+    ends[:_ROWS, 1, 5] = ord("-")
+    for row_x in range(-4, 0):
+        for sign, lead in enumerate((b"", b"-")):
+            text = lead + b"0." + b"0" * (-row_x - 1)
+            ends[row_x - _X_MIN, sign, 7 - len(text):7] = list(text)
+    ends[_INF, 0, 3:6] = list(b"inf")
+    ends[_INF, 1, 2:6] = list(b"-inf")
+    ends[_NAN, :, 3:6] = list(b"nan")
+    mag = np.abs(x)
+    three = mag >= 100
+    suffix = np.stack([np.full(len(x), ord("e")), np.where(x < 0, ord("-"), ord("+")),
+                       48 + np.where(three, mag // 100, mag // 10 % 10),
+                       48 + np.where(three, mag // 10 % 10, mag % 10),
+                       np.where(three, 48 + mag % 10, 0)], axis=1)
+    ends[:_ROWS, :, 24:29] = (suffix * ~fixed[:, None])[:, None, :]
+
+    words = lambda table: table.astype(np.uint8).view(_WORD)
+    return (fast, row, above, mul_hi, mul_hh, mul_hi - mul_hh, mul_lo,
+            ascii.view("<u4").ravel(), length, codes.ravel(), words(keep * 255),
+            words(before * 255), words(point), ends.reshape(-1, 32).view(_WORD))
+
+
+(_FAST_PATH, _ROW, _ABOVE, _MUL_HI, _MUL_HH, _MUL_HL, _MUL_LO, _CHUNK, _LENGTH,
+ _CODES, _KEEP, _BEFORE, _POINT, _ENDS) = _kernel_tables()
+_HIGH_26 = np.int64(-1 << 27)   # keeps the top 26 bits of a double
+
+
+def _significand(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row X - _X_MIN and the 17 digits D of each double of the 1D ``x``.
+
+    Also returns where D's rounding was too close to a tie to trust, and
+    the indices of the nonzero numbers off the fast path, whose row is
+    that of inf or nan and whose D is 0.
     """
-    slots = ",".join(["%.17g"] * free) + "\n"
-    templates = []
-    for start in range(0, n_rows, _BLOCK_ROWS):
-        block = fixed(np.arange(start, min(start + _BLOCK_ROWS, n_rows)))
-        head = "%.17g," * block.shape[1]
-        templates.append("".join([head % tuple(row) + slots for row in block.tolist()]))
-    return templates
+    eb = x.view(np.int64) >> 52         # the biased binary exponent
+    eb &= 0x7FF
+    fast = _FAST_PATH.take(eb)
+    rare = np.flatnonzero(~fast & (x != 0))
+    a = np.where(fast, np.abs(x), 0.0)
+    row = _ROW.take(eb)
+    row += a >= _ABOVE.take(eb)
+    # y = a * 10**(16 - X) as the double-double p + lo; its error is below
+    # 1e-14, so rounding it to D is exact unless its fraction is within
+    # 1e-9 of a half
+    p = a * _MUL_HI.take(row)
+    lo = _low_part(a, row, p)
+    r = np.rint(lo)
+    lo -= r
+    ties = np.abs(lo, out=lo) > 0.5 - 1e-9
+    d = p.astype(np.int64)
+    d += r.astype(np.int64)
+    carry = d >= 10 ** 17              # 10**17 is 10**16 at the next exponent
+    d[carry] = 10 ** 16
+    row += carry
+    row[rare] = np.where(np.isnan(x[rare]), _NAN, _INF)
+    return row, d, ties, rare
 
 
-def _write_table(path: Path, header: list[str], templates: list[str],
+def _low_part(a: np.ndarray, row: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``a * 10**(16 - X) - p`` to double precision, where ``p`` is ``a``
+    times the double nearest that power: the error of ``p`` by Dekker's
+    exact product, plus ``a`` times the rest of the power."""
+    ah = (a.view(np.int64) & _HIGH_26).view(np.float64)
+    al = a - ah
+    hh, hl = _MUL_HH.take(row), _MUL_HL.take(row)
+    lo = ah * hh
+    lo -= p
+    ah *= hl
+    lo += ah
+    hh *= al
+    lo += hh
+    hl *= al
+    lo += hl
+    al = _MUL_LO.take(row)
+    al *= a
+    lo += al
+    return lo
+
+
+def _digits(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 17 digits of each ``d`` in bytes 7-23 of four words, and how many
+    of them are significant (0 for ``d = 0``)."""
+    # D as its first digit and four chunks of four, split in place
+    chunks = np.empty((5, len(d)), np.int64)
+    high, low = chunks[2], chunks[4]
+    np.floor_divide(d, 10 ** 8, out=high)
+    np.subtract(d, high * 10 ** 8, out=low)
+    np.floor_divide(high, 10 ** 8, out=chunks[0])
+    high -= chunks[0] * 10 ** 8
+    np.floor_divide(high, 10 ** 4, out=chunks[1])
+    high -= chunks[1] * 10 ** 4
+    np.floor_divide(low, 10 ** 4, out=chunks[3])
+    low -= chunks[3] * 10 ** 4
+    significant = _LENGTH[0].take(chunks[1])
+    for j in range(1, 4):
+        np.maximum(significant, _LENGTH[j].take(chunks[j + 1]), out=significant)
+    text = np.empty((len(d), 4), _WORD)
+    for j, chunk in enumerate(chunks, 1):
+        text.view("<u4")[:, j] = _CHUNK.take(chunk)
+    return text, significant
+
+
+def _render(x: np.ndarray) -> np.ndarray:
+    """``"%.17g" % v`` of each double ``v`` of the 1D ``x``, four words each.
+
+    See the layout above; byte 31 of each slot is PAD.
+    """
+    row, d, ties, rare = _significand(x)
+    text, significant = _digits(d)
+    code = _CODES.take(row * 18 + significant)
+    # keep the digits shown, then move those up to the point down one byte
+    mask = np.take(_KEEP, code, axis=0, mode="clip")
+    text &= mask
+    np.take(_BEFORE, code, axis=0, out=mask, mode="clip")
+    flat, moved = text.reshape(-1).view(np.uint8), mask.reshape(-1).view(np.uint8)
+    np.bitwise_and(moved[:-1], flat[1:], out=moved[:-1])
+    np.bitwise_xor(flat[1:], moved[:-1], out=flat[1:])
+    text |= mask
+    text |= np.take(_POINT, code, axis=0, out=mask, mode="clip")
+    row *= 2
+    row += np.signbit(x)
+    text |= np.take(_ENDS, row, axis=0, out=mask, mode="clip")
+    # the rest of the rare values, and D too close to a tie, go through "%"
+    for i in np.concatenate([rare[np.isfinite(x[rare])], np.flatnonzero(ties)]).tolist():
+        text[i] = np.frombuffer((b"%.17g" % x[i]).ljust(32, b"\0"), _WORD)
+    return text
+
+
+# Each call of the kernel renders about this many numbers.  Fewer pay
+# numpy's cost per call more often; more raise the writer's peak memory
+# (test_emit_outputs_peak_memory_stays_flat).
+_BLOCK_VALUES = 1536
+
+
+def _rows(prefix: np.ndarray, values: np.ndarray, end: int) -> np.ndarray:
+    """Rows of text: each row's ``prefix``, then its ``values`` at ``%.17g``.
+
+    Each value is followed by a comma, the last one by the byte ``end``.
+    The rows are PAD-filled, one row of a uint8 array per row.
+    """
+    words = _render(values.ravel())
+    m, width = prefix.shape
+    text = np.empty((m, width + 32 * values.shape[1]), np.uint8)
+    text[:, :width] = prefix
+    text[:, width:].view(_WORD)[...] = words.reshape(m, 4 * values.shape[1])
+    text[:, width + 31::32] = ord(",")
+    text[:, -1:] = end
+    return text
+
+
+def _prefixes(n_rows: int, fixed: Callable[[np.ndarray], np.ndarray],
+              free: int) -> list[np.ndarray]:
+    """Row prefixes of an ``n_rows``-row table, one uint8 array per block of rows.
+
+    A row's prefix is its fixed columns, which ``fixed`` returns for the
+    row numbers of one block as a 2D array, each at ``%.17g`` and followed
+    by a comma.  A block holds ``_BLOCK_VALUES // free`` rows (at least 1),
+    so that :func:`_write_table` renders about ``_BLOCK_VALUES`` of the
+    ``free`` columns' numbers per kernel call; the fixed columns of a
+    block are rendered in parts of at most as many.  Each prefix is
+    PAD-filled to the block's longest, rounded up to whole words.
+    """
+    step = max(1, _BLOCK_VALUES // free)
+    prefixes = []
+    for start in range(0, n_rows, step):
+        columns = fixed(np.arange(start, min(start + step, n_rows)))
+        parts = np.array_split(columns, max(1, -(-columns.size // _BLOCK_VALUES)))
+        text = np.concatenate([_rows(np.empty((len(part), 0), np.uint8), part, ord(","))
+                               for part in parts])
+        keep = text != 0
+        lengths = keep.sum(axis=1)
+        block = np.zeros((len(text), -(-lengths.max() // 8) * 8), np.uint8)
+        block[np.arange(block.shape[1]) < lengths[:, None]] = text[keep]
+        prefixes.append(block)
+    return prefixes
+
+
+def _write_table(path: Path, header: list[str], prefixes: list[np.ndarray],
                  free: list[np.ndarray]) -> Path:
-    """A header line, then the rows of the ``free`` columns filled into ``templates``.
+    """A header line, then each row's prefix followed by its ``free`` columns.
 
-    The bytes are those of ``np.savetxt(fmt="%.17g", delimiter=",")`` on
-    the fixed and free columns side by side, under the same header.
+    The rows come in the blocks of ``prefixes`` (see :func:`_prefixes`),
+    each written with one ``write``.  The bytes are those of
+    ``np.savetxt(fmt="%.17g", delimiter=",")`` on the fixed and free
+    columns side by side, under the same header.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start, template in zip(range(0, len(free[0]), _BLOCK_ROWS), templates):
-            block = np.column_stack([c[start:start + _BLOCK_ROWS] for c in free])
-            fh.write(template % tuple(block.ravel().tolist()))
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        start = 0
+        for prefix in prefixes:
+            stop = start + len(prefix)
+            text = _rows(prefix, np.column_stack([c[start:stop] for c in free]),
+                         ord("\n"))
+            fh.write(text[text != 0])
+            del text                    # before the next block is rendered
+            start = stop
     return path

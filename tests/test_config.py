@@ -646,10 +646,18 @@ def awkward_values(rng, n, special):
 SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e308, 3.0, -7.0, 2.0**53, 0.1]
 
 
+# rows per block of a table with three free columns: u, v, m of a snapshot,
+# or t and two series
+BLOCK = config._BLOCK_VALUES // 3
+
+
 @pytest.mark.parametrize("cells, extent", [
     ("127", "1.0"), ("128", "0.7"), ("129", "3.0"), ("130", "1.0"),
-    ("5, 4", "1.0, 2.0"), ("5, 4, 3", "1.2, 1.0, 0.8")],
-    ids=["1d-127", "1d-128", "1d-129", "1d-130", "2d", "3d"])
+    ("5, 4", "1.0, 2.0"), ("5, 4, 3", "1.2, 1.0, 0.8"),
+    (str(BLOCK - 1), "1.0"), (str(BLOCK), "0.7"), (str(BLOCK + 1), "3.0"),
+    (f"{2 * BLOCK // 64 + 1}, 8, 8", "1.2, 1.0, 0.8")],
+    ids=["1d-127", "1d-128", "1d-129", "1d-130", "2d", "3d",
+         "1d-block-1", "1d-block", "1d-block+1", "3d-three-blocks"])
 def test_snapshot_bytes_match_savetxt(cells, extent, tmp_path):
     dims = len(cells.split(","))
     scenario = parse_config(config_text(grid__cells=cells, grid__extent=extent,
@@ -673,7 +681,7 @@ def test_snapshot_bytes_match_savetxt(cells, extent, tmp_path):
                                                      header, columns)
 
 
-@pytest.mark.parametrize("rows", [0, 1, 300])
+@pytest.mark.parametrize("rows", [0, 1, 300, BLOCK - 1, BLOCK, BLOCK + 1])
 def test_series_bytes_match_savetxt(tiny_result, rows, tmp_path):
     rng = np.random.default_rng(rows)
     t = np.cumsum(rng.uniform(0.01, 1.0, rows))
@@ -877,7 +885,9 @@ def test_emit_outputs_peak_memory_stays_flat():
     # that the peak is this run's alone.  The peak is VmHWM, not ru_maxrss:
     # on Linux a child's ru_maxrss starts from the high-water mark of the
     # process that started it, which here is the whole test session.
-    # Formatting 1024-row blocks or whole records raised it by 4.4-4.8 MB
+    # The peak grows with the numbers the writer renders per kernel call;
+    # at its 1536 the peak rose by 752-760 KiB, all of it while the row
+    # prefixes were built (Python 3.11, numpy 2.4, Linux x86-64)
     text = config_text(
         model__taxis="constant(1.0)", model__production="affine(0.0, 1.0)",
         model__formulation="weighted", grid__cells="24, 20, 16",
